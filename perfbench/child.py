@@ -20,9 +20,12 @@ import spans as sp
 
 T_START = sp.clock()
 
-#: Campaign scale and worker count: the ROADMAP's end-to-end unit at a size
-#: where one repetition is about half a minute on two cores.
+#: Campaign scale, core cap and worker count: the ROADMAP's end-to-end unit
+#: at a size where one repetition is 7-9 s on two cores, so a run holds
+#: several and reports their median.  At the default 64-core cap a
+#: repetition is 20-30 s whatever the scale (figure2 and figure12 dominate).
 CAMPAIGN_SCALE = "0.05"
+CAMPAIGN_MAX_CORES = "16"
 CAMPAIGN_JOBS = 2
 
 #: paper-grid: the five Table 2 workloads at scale 1.0 on 64 cores.
@@ -64,6 +67,7 @@ def campaign_points(results_dir: str) -> dict:
 
 def run_campaign(args: argparse.Namespace, rec: sp.Recorder | None, report: dict) -> None:
     os.environ["REPRO_SCALE"] = CAMPAIGN_SCALE
+    os.environ["REPRO_MAX_CORES"] = CAMPAIGN_MAX_CORES
     from repro.experiments import journal, runner
 
     results_dir = os.path.join(args.workdir, "results")

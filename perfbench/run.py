@@ -8,7 +8,8 @@ Workloads (see ``BENCHMARK.json`` and ``perfbench/METRICS.md``):
 
 ``campaign``
     ``python -m repro.experiments.runner --jobs 2`` over every experiment
-    at ``REPRO_SCALE=0.05``, with a fresh results directory and no cache.
+    at ``REPRO_SCALE=0.05`` and ``REPRO_MAX_CORES=16``, with a fresh results
+    directory and no cache.
 ``paper-grid``
     The five Table 2 workloads under MESI with atomics and COUP with
     commutative updates, 64 cores, in one process.

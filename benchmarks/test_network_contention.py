@@ -59,7 +59,7 @@ def test_network_contention_overhead(benchmark):
     contended = table1_config(
         n_cores, topology=TopologyConfig(name="dancehall", contention=True)
     )
-    trace = make_hist(UpdateStyle.COMMUTATIVE).generate(n_cores)
+    trace = make_hist(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores)
 
     timings = interleaved_best_times(
         [

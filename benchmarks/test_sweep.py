@@ -36,7 +36,7 @@ def _sweep(share_trace: bool):
     n_cores = min(16, settings.max_cores())
 
     def factory(n):
-        return make_hist(UpdateStyle.COMMUTATIVE).generate(n)
+        return make_hist(UpdateStyle.COMMUTATIVE).generate_columnar(n)
 
     return compare_protocols(
         factory, table1_config(n_cores), protocols=PROTOCOLS, share_trace=share_trace

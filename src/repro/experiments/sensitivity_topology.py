@@ -146,13 +146,14 @@ def baseline_rows(results: Dict[str, List[dict]]) -> List[dict]:
 
 
 def baseline_matches_legacy(results: Dict[str, List[dict]]) -> None:
-    """Assert the baseline column is bit-identical to the legacy path.
+    """Assert the baseline column is bit-identical to a direct simulation.
 
     The baseline points run on the stock :func:`table1_config` machine —
     dancehall, contention off — which must charge exactly the pre-topology
-    fixed-latency constants.  This recomputes each baseline point with a
-    direct :func:`repro.sim.simulator.simulate` call (no sweep engine, no
-    trace cache) and compares ``run_cycles``/``amat``/``offchip_bytes``
+    fixed-latency constants.  This regenerates each baseline trace with a
+    fresh ``generate_columnar`` call and simulates it with a direct
+    :func:`repro.sim.simulator.simulate` call (no sweep engine, no trace
+    cache), then compares ``run_cycles``/``amat``/``offchip_bytes``
     bit-for-bit.  Raises ``AssertionError`` on any divergence; used by the
     CI ``topology-smoke`` lane and ``tests/interconnect``.
     """
@@ -167,7 +168,7 @@ def baseline_matches_legacy(results: Dict[str, List[dict]]) -> None:
         workload = factory(styles[row["protocol"]])
         n_cores = row["n_cores"]
         reference = simulate(
-            workload.generate(n_cores),
+            workload.generate_columnar(n_cores),
             table1_config(n_cores),
             row["protocol"],
             track_values=False,
@@ -176,7 +177,7 @@ def baseline_matches_legacy(results: Dict[str, List[dict]]) -> None:
         expected = (reference.run_cycles, reference.amat, reference.offchip_bytes)
         assert observed == expected, (
             f"baseline {row['benchmark']}/{row['protocol']} diverged from the "
-            f"legacy path: {observed} != {expected}"
+            f"direct simulation: {observed} != {expected}"
         )
 
 

@@ -57,13 +57,7 @@ if TYPE_CHECKING:
 
 from repro import obs as _obs
 from repro.experiments import settings
-from repro.sim.access import WorkloadTrace
-from repro.sim.columnar import (
-    ACCESS_DTYPE,
-    ColumnarTrace,
-    TraceCodecError,
-    as_columnar,
-)
+from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import MulticoreSimulator, make_protocol
 from repro.sim.stats import SimulationResult
@@ -102,7 +96,7 @@ class WorkloadSpec:
         build: Callable[[], Workload],
         *,
         variant: Tuple = ("plain",),
-        materialize: Optional[Callable[[Workload, int], WorkloadTrace]] = None,
+        materialize: Optional[Callable[[Workload, int], ColumnarTrace]] = None,
     ) -> None:
         self.build = build
         self.variant = tuple(variant)
@@ -110,7 +104,7 @@ class WorkloadSpec:
 
     @classmethod
     def plain(cls, build: Callable[[], Workload]) -> "WorkloadSpec":
-        """The ordinary ``workload.generate(n_cores)`` trace."""
+        """The ordinary ``workload.generate_columnar(n_cores)`` trace."""
         return cls(build)
 
     @classmethod
@@ -130,33 +124,23 @@ class WorkloadSpec:
         )
 
     def key(self, n_cores: int) -> Tuple:
-        """Hashable identity of the trace :meth:`materialize` would produce."""
+        """Hashable identity of the trace :meth:`materialize_columnar` produces."""
         return (self.build().trace_key(), self.variant, n_cores)
 
-    def materialize(self, n_cores: int) -> WorkloadTrace:
-        """Generate the object-form trace from a fresh workload instance."""
-        workload = self.build()
-        if self._materialize is None:
-            return workload.generate(n_cores)
-        return self._materialize(workload, n_cores)
-
     def materialize_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Generate the packed columnar trace from a fresh workload instance.
-
-        Plain variants use the workload's vectorized columnar builder;
-        variant materializers (privatization) build the object form and pack
-        it — either way the result simulates bit-identically to
-        :meth:`materialize` (pinned by the golden-equivalence suite).
-        """
+        """Generate the packed columnar trace from a fresh workload instance."""
         workload = self.build()
         if self._materialize is None:
             return workload.generate_columnar(n_cores)
-        return as_columnar(self._materialize(workload, n_cores))
+        return self._materialize(workload, n_cores)
+
+    #: Alias of :meth:`materialize_columnar`, kept for callers of the old name.
+    materialize = materialize_columnar
 
 
 def _materialize_privatized(
     workload: Workload, n_cores: int, *, level: PrivatizationLevel, cores_per_socket: int
-) -> WorkloadTrace:
+) -> ColumnarTrace:
     return workload.generate_privatized(
         n_cores, level=level, cores_per_socket=cores_per_socket
     )
@@ -185,10 +169,7 @@ class TraceCache:
     sensitivity study, a 1-core baseline shared between experiments), so the
     cache is keyed by the full workload identity and bounded by trace count —
     traces are the memory hog, not the results.  Traces are held packed
-    (:class:`ColumnarTrace`, ~29 bytes per access vs ~100+ for objects, see
-    :attr:`total_bytes`), which is why the default capacity is four times the
-    old object-form bound.  A workload whose trace cannot be packed (exotic
-    operand values) transparently falls back to the object form.
+    (:class:`ColumnarTrace`, ~29 bytes per access, see :attr:`total_bytes`).
 
     With ``store_dir`` set, materialized traces are additionally persisted
     as ``<digest>.npz`` files and reloaded on a cold miss, so repeated or
@@ -201,7 +182,7 @@ class TraceCache:
             raise ValueError("max_traces must be positive")
         self.max_traces = max_traces
         self.store_dir = store_dir
-        self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._traces: "OrderedDict[Tuple, ColumnarTrace]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_loads = 0
@@ -239,11 +220,7 @@ class TraceCache:
                     return trace
             except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
                 pass  # missing, corrupt, or stale file: regenerate
-        try:
-            trace = spec.materialize_columnar(n_cores)
-        except TraceCodecError:
-            # Unpackable trace: serve the object form (never persisted).
-            return spec.materialize(n_cores)
+        trace = spec.materialize_columnar(n_cores)
         if path is not None:
             # Persistence is an optimization; a read-only or full disk must
             # not fail a sweep whose trace already materialized.
@@ -257,9 +234,7 @@ class TraceCache:
     @property
     def total_bytes(self) -> int:
         """Packed bytes held across all cached columnar traces."""
-        return sum(
-            trace.nbytes for trace in self._traces.values() if hasattr(trace, "nbytes")
-        )
+        return sum(trace.nbytes for trace in self._traces.values())
 
     def stats(self) -> Dict[str, int]:
         """Occupancy and traffic counters (benchmark/CI reporting)."""
@@ -498,7 +473,7 @@ class ExecutionContext:
     def __init__(self, traces: Optional[TraceCache] = None) -> None:
         self.traces = traces if traces is not None else _shared_trace_cache
 
-    def trace(self, spec: WorkloadSpec, n_cores: int) -> WorkloadTrace:
+    def trace(self, spec: WorkloadSpec, n_cores: int) -> ColumnarTrace:
         return self.traces.get(spec, n_cores)
 
 

@@ -1,17 +1,22 @@
-"""Memory access trace records consumed by the timing simulator.
+"""Memory access records and the object form of a trace.
 
-Workload generators emit, per core, a sequence of :class:`MemoryAccess`
-records.  Each record describes one memory instruction (load, store, atomic
+A :class:`MemoryAccess` describes one memory instruction (load, store, atomic
 read-modify-write, or a COUP commutative-update instruction) plus the amount
 of non-memory work executed since the previous record, so the core timing
-model can interleave compute and memory time.
+model can interleave compute and memory time.  The protocol engines' slow
+path consumes these records one at a time.
+
+Whole traces are generated and simulated in the packed columnar form
+(:class:`~repro.sim.columnar.ColumnarTrace`); :class:`WorkloadTrace` is its
+object-form twin, used for hand-written traces in tests (packed with
+``ColumnarTrace.from_workload``) and for debugging (``to_workload``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.commutative import CommutativeOp
 
@@ -191,15 +196,12 @@ Trace = List[MemoryAccess]
 
 @dataclass(slots=True)
 class WorkloadTrace:
-    """Traces for all cores plus workload metadata.
+    """Object form of a trace: one :class:`MemoryAccess` list per core.
 
-    ``per_core`` holds one trace per core (index == core id).  ``name`` and
-    ``params`` describe the generating workload for reporting; ``phases``
-    optionally mark barrier indices: ``phases[i]`` is a list giving, for each
-    core, the number of accesses belonging to phases ``0..i``.  The simulator
-    inserts a barrier between phases (all cores synchronise), which is how
-    privatization reduction phases and iterative-algorithm supersteps are
-    modelled.
+    ``per_core`` holds one trace per core (index == core id); ``name``,
+    ``params`` and ``phase_boundaries`` mean what they mean on
+    :class:`~repro.sim.columnar.ColumnarTrace`.  Hand-written traces are
+    packed with ``ColumnarTrace.from_workload`` before simulation.
     """
 
     name: str
@@ -215,51 +217,6 @@ class WorkloadTrace:
     def total_accesses(self) -> int:
         return sum(len(trace) for trace in self.per_core)
 
-    @property
-    def total_instructions(self) -> int:
-        """Total instructions (memory + think) across all cores."""
-        return sum(
-            len(trace) + sum(access.think_instructions for access in trace)
-            for trace in self.per_core
-        )
-
-    def commutative_fraction(self) -> float:
-        """Fraction of accesses that are commutative/atomic updates.
-
-        The paper reports commutative-update instructions as a small fraction
-        of all executed instructions (Sec. 5.2); this helper reproduces that
-        statistic for Table 2 style reporting.
-        """
-        updates = sum(
-            1
-            for trace in self.per_core
-            for access in trace
-            if access.access_type in (AccessType.COMMUTATIVE_UPDATE, AccessType.ATOMIC_RMW, AccessType.REMOTE_UPDATE)
-        )
-        total = self.total_instructions
-        return updates / total if total else 0.0
-
-    def validate(self) -> None:
-        """Sanity-check the phase structure (used by workload tests)."""
-        if self.phase_boundaries is None:
-            return
-        for boundaries in self.phase_boundaries:
-            if len(boundaries) != self.n_cores:
-                raise ValueError("each phase boundary must list one index per core")
-            for core_id, bound in enumerate(boundaries):
-                if not 0 <= bound <= len(self.per_core[core_id]):
-                    raise ValueError(
-                        f"phase boundary {bound} out of range for core {core_id}"
-                    )
-
-
-def merge_traces(traces: Iterable[Trace]) -> Trace:
-    """Concatenate several traces into one (used to build single-core runs)."""
-    merged: Trace = []
-    for trace in traces:
-        merged.extend(trace)
-    return merged
-
 
 #: Names re-exported lazily from :mod:`repro.sim.columnar` so both trace
 #: representations share one import home without a circular import.
@@ -267,8 +224,6 @@ _COLUMNAR_NAMES = {
     "ACCESS_DTYPE",
     "ColumnarTrace",
     "TraceCodecError",
-    "as_columnar",
-    "as_workload",
 }
 
 

@@ -1,9 +1,8 @@
 """Packed columnar representation of memory-access traces.
 
-A :class:`~repro.sim.access.WorkloadTrace` stores one Python object per
-access — flexible, but ~100+ bytes per record, slow to generate in bulk, and
-expensive to cache or ship between processes.  :class:`ColumnarTrace` packs
-the same information into one NumPy structured array per core:
+:class:`ColumnarTrace` is the one trace representation: every workload
+generator emits it and the simulator consumes it.  It holds one NumPy
+structured array per core:
 
 ========== ===== =======================================================
 field      dtype contents
@@ -22,10 +21,11 @@ phase      u4    phase index of the access (derived from the trace's
                  is authoritative and round-trips exactly)
 ========== ===== =======================================================
 
-The converters are exact and order-preserving: ``pack -> unpack`` returns
-accesses that compare equal (``MemoryAccess.__eq__``) in the original order,
-and the golden-equivalence suite pins that simulating either form produces
-bit-identical :class:`~repro.sim.stats.SimulationResult`s.
+The object form (:class:`~repro.sim.access.WorkloadTrace`, one
+:class:`~repro.sim.access.MemoryAccess` per record) survives only as an
+exact, order-preserving converter pair: :meth:`ColumnarTrace.from_workload`
+packs hand-written traces (tests), and :meth:`ColumnarTrace.to_workload`
+unpacks a trace for debugging.
 
 ``type_code`` layout (104 codes):
 
@@ -304,7 +304,7 @@ def make_columns(codes, addresses, deltas, gaps) -> np.ndarray:
 
     Used by vectorized workload builders; each argument may be a NumPy array,
     a Python sequence, or a scalar (broadcast).  ``deltas`` must already be
-    int64-encoded (see :func:`encode_value` / :func:`float_deltas`).
+    int64-encoded (see :func:`encode_value`).
     """
     n = max(
         np.shape(column)[0]
@@ -320,18 +320,13 @@ def make_columns(codes, addresses, deltas, gaps) -> np.ndarray:
     return array
 
 
-def float_deltas(values) -> np.ndarray:
-    """Encode float operand values as int64 bit patterns (vectorized)."""
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
 class ColumnBuilder:
     """Incremental builder of one core's packed columns.
 
     For generators whose control flow is inherently sequential (RNG draws
-    that depend on earlier draws), building plain int/float lists and packing
-    once at the end is still several times faster than constructing a
-    :class:`MemoryAccess` object per record.
+    that depend on earlier draws, SNZI propagation, Refcache flushes),
+    records are appended as raw ``(code, address, delta, gap)`` values and
+    packed once at the end.
     """
 
     __slots__ = ("codes", "addresses", "deltas", "gaps")
@@ -347,12 +342,6 @@ class ColumnBuilder:
         self.addresses.append(address)
         self.deltas.append(delta)
         self.gaps.append(gap)
-
-    def extend_objects(self, accesses: Sequence[MemoryAccess]) -> None:
-        """Append already-materialized accesses (SNZI/Refcache helpers)."""
-        for access in accesses:
-            code, delta = encode_access(access)
-            self.append(code, access.address, delta, access.think_instructions)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -370,10 +359,10 @@ class ColumnBuilder:
 class ColumnarTrace:
     """Packed traces for all cores plus workload metadata.
 
-    The columnar dual of :class:`~repro.sim.access.WorkloadTrace`: ``columns``
-    holds one structured array per core (index == core id), and
-    ``phase_boundaries`` has the same meaning and layout as on the object
-    form.  The simulator consumes this form natively; the converters are
+    ``columns`` holds one structured array per core (index == core id), and
+    ``phase_boundaries[i]`` gives, per core, the number of accesses in
+    phases ``0..i`` (the simulator inserts a barrier between phases).  The
+    converters to and from :class:`~repro.sim.access.WorkloadTrace` are
     exact in both directions.
     """
 
@@ -421,7 +410,10 @@ class ColumnarTrace:
 
     @classmethod
     def from_workload(cls, trace: WorkloadTrace) -> "ColumnarTrace":
-        """Pack an object-form trace; exact and order-preserving."""
+        """Pack a hand-written object-form trace; exact and order-preserving.
+
+        Workload generators never call this: they emit columns directly.
+        """
         columns = [pack_accesses(core_trace) for core_trace in trace.per_core]
         boundaries = (
             [list(bounds) for bounds in trace.phase_boundaries]
@@ -436,7 +428,7 @@ class ColumnarTrace:
         )
 
     def to_workload(self) -> WorkloadTrace:
-        """Unpack to the object form; exact and order-preserving."""
+        """Unpack to the object form (debugging); exact and order-preserving."""
         boundaries = (
             [list(bounds) for bounds in self.phase_boundaries]
             if self.phase_boundaries is not None
@@ -449,7 +441,7 @@ class ColumnarTrace:
             phase_boundaries=boundaries,
         )
 
-    # -- WorkloadTrace-compatible reporting API --------------------------------
+    # -- reporting API ---------------------------------------------------------
 
     @property
     def n_cores(self) -> int:
@@ -490,7 +482,7 @@ class ColumnarTrace:
         return updates / total if total else 0.0
 
     def validate(self) -> None:
-        """Sanity-check the phase structure (mirrors WorkloadTrace)."""
+        """Sanity-check the phase structure."""
         if self.phase_boundaries is None:
             return
         for boundaries in self.phase_boundaries:
@@ -577,16 +569,3 @@ class ColumnarTrace:
         )
         return trace, meta.get("extra")
 
-
-def as_columnar(trace) -> ColumnarTrace:
-    """Coerce either trace form to columnar (no-op for ColumnarTrace)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_workload(trace)
-
-
-def as_workload(trace) -> WorkloadTrace:
-    """Coerce either trace form to the object form (no-op for WorkloadTrace)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.to_workload()
-    return trace

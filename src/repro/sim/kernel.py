@@ -69,7 +69,7 @@ scalar loop.  ``REPRO_SIM_KERNEL`` selects ``auto`` (default), ``batch``
 scalar loop alternate on identical state: the kernel measures itself per
 probation interval and bails out when a stretch of the workload is too
 slow-path-heavy to batch, and the scalar loop hands hot stretches (long
-global hit streaks) back — see ``MulticoreSimulator._run_columnar``.
+global hit streaks) back — see ``MulticoreSimulator.run``.
 ``REPRO_BATCH_SIZE`` bounds the classification window.
 """
 
@@ -442,9 +442,10 @@ class BatchedKernel:
             _BatchCore(i, len(workload.columns[i]), config.l1d) for i in range(n_cores)
         ]
         if resume is not None:
-            # Mid-run re-entry from the scalar loop (see _run_columnar): the
-            # handoff state is exactly what _handoff produces, so the two
-            # loops can alternate without losing a single access.
+            # Mid-run re-entry from the scalar loop (see
+            # MulticoreSimulator.run): the handoff state is exactly what
+            # _handoff produces, so the two loops can alternate without
+            # losing a single access.
             cursor_state, resumed_stats, heap_entries, barrier_ids = resume
             self.core_stats = resumed_stats
             waiting = set(barrier_ids)

@@ -10,21 +10,32 @@ phase, at the cost of
 * an ``n_replicas``-fold increase in memory footprint, which pressures the
   shared caches when the reduction variable is large (Sec. 5.3).
 
-This module provides trace builders that turn a logical stream of updates per
-core into the privatized update phase plus reduction phase, so any workload
-with reduction-variable structure (histogram is the paper's example) can be
-expressed in privatized form.
+This module provides column builders that turn a logical stream of updates
+per core into the privatized update phase plus reduction phase, so any
+workload with reduction-variable structure (histogram is the paper's example)
+can be expressed in privatized form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
+
+import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace
-from repro.workloads.base import AddressMap
+from repro.sim.access import AccessType
+from repro.sim.columnar import ACCESS_DTYPE, VK_NONE, code_for, encode_value, make_columns
+
+if TYPE_CHECKING:
+    # Annotation only: repro.workloads imports this module.
+    from repro.workloads.base import AddressMap
+
+#: Packed codes of the plain 8-byte accesses privatization emits (replica
+#: read-modify-writes and the reduction's loads and stores).
+_LOAD_CODE = code_for(AccessType.LOAD, None, 8, VK_NONE)
+_STORE_CODE = code_for(AccessType.STORE, None, 8, VK_NONE)
 
 
 class PrivatizationLevel(enum.Enum):
@@ -67,11 +78,10 @@ class PrivatizedReductionPlan:
 
 
 class PrivatizedReductionBuilder:
-    """Builds per-core traces for a privatized reduction variable.
+    """Builds packed per-core columns for a privatized reduction variable.
 
-    The caller supplies, per core, the logical update stream as
-    ``(element_index, value, think_instructions)`` tuples.  The builder
-    produces:
+    The caller supplies, per core, the element indices of its logical
+    updates.  The builder produces:
 
     * an **update phase**, where each core updates its replica —
       with plain load/store pairs for core-level privatization (the replica
@@ -80,6 +90,10 @@ class PrivatizedReductionBuilder:
     * a **reduction phase**, where the elements are partitioned among cores
       and each core folds every replica's value for its elements into the
       shared result array.
+
+    Replica and shared regions are allocated lazily, in first-use order,
+    and a phase with no records allocates nothing: the address layout
+    depends on that order.
     """
 
     def __init__(
@@ -88,122 +102,67 @@ class PrivatizedReductionBuilder:
         addresses: AddressMap,
         *,
         array_name: str = "reduction",
-        replica_of_core: Callable[[int], int] = None,
+        replica_of_core: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.plan = plan
         self.addresses = addresses
         self.array_name = array_name
         self.replica_of_core = replica_of_core or (lambda core: core)
-        #: Region base address per replica, resolved once (the trace builders
-        #: compute replica addresses in O(n_replicas * n_elements) loops).
-        self._replica_bases: dict = {}
-        self._shared_base: int = None
 
     def _replica_base(self, replica: int) -> int:
-        base = self._replica_bases.get(replica)
-        if base is None:
-            base = self.addresses.region(f"{self.array_name}_replica_{replica}")
-            self._replica_bases[replica] = base
-        return base
-
-    def _replica_address(self, replica: int, element: int) -> int:
-        return self._replica_base(replica) + element * self.plan.element_bytes
-
-    def _shared_address(self, element: int) -> int:
-        if self._shared_base is None:
-            self._shared_base = self.addresses.region(f"{self.array_name}_shared")
-        return self._shared_base + element * self.plan.element_bytes
+        return self.addresses.region(f"{self.array_name}_replica_{replica}")
 
     # -- update phase -----------------------------------------------------------
 
-    def update_phase(
-        self, core_id: int, updates: Sequence[Tuple[int, object, int]]
-    ) -> Trace:
-        """Trace of one core's updates applied to its replica."""
-        replica = self.replica_of_core(core_id)
-        trace: Trace = []
-        if not updates:
-            # Keep region allocation lazy: a core with no updates must not
-            # allocate its replica region (address layout is order-sensitive).
-            return trace
-        append = trace.append
-        private_replica = self.plan.level is PrivatizationLevel.CORE
-        base = self._replica_base(replica)
-        element_bytes = self.plan.element_bytes
+    def update_phase(self, core_id: int, elements: np.ndarray, value, think: int) -> np.ndarray:
+        """Columns of one core's updates applied to its replica.
+
+        Every update adds ``value`` to ``elements[i]`` of the replica, with
+        ``think`` instructions before it.
+        """
+        n_updates = len(elements)
+        if not n_updates:
+            return np.empty(0, dtype=ACCESS_DTYPE)
+        base = self._replica_base(self.replica_of_core(core_id))
+        addresses = base + np.asarray(elements, dtype=np.uint64) * self.plan.element_bytes
+        if self.plan.level is PrivatizationLevel.CORE:
+            # Thread-private replica: read-modify-write with plain accesses.
+            return make_columns(
+                np.tile([_LOAD_CODE, _STORE_CODE], n_updates),
+                np.repeat(addresses, 2),
+                0,
+                np.tile([think, 1], n_updates),
+            )
+        # Socket-shared replica: atomics are still required.
         op = self.plan.op
-        for element, value, think in updates:
-            address = base + element * element_bytes
-            if private_replica:
-                # Thread-private replica: read-modify-write with plain accesses.
-                append(MemoryAccess(AccessType.LOAD, address, think_instructions=think))
-                append(MemoryAccess(AccessType.STORE, address, think_instructions=1))
-            else:
-                # Socket-shared replica: atomics are still required.
-                append(
-                    MemoryAccess(
-                        AccessType.ATOMIC_RMW,
-                        address,
-                        op=op,
-                        value=value,
-                        think_instructions=think,
-                        size_bytes=op.word_bytes,
-                    )
-                )
-        return trace
+        value_kind, delta = encode_value(value)
+        code = code_for(AccessType.ATOMIC_RMW, op, op.word_bytes, value_kind)
+        return make_columns(code, addresses, delta, think)
 
     # -- reduction phase ---------------------------------------------------------
 
-    def reduction_phase(self, core_id: int, n_cores: int) -> Trace:
-        """Trace of one core's share of the final reduction.
+    def reduction_phase(self, core_id: int, n_cores: int) -> np.ndarray:
+        """Columns of one core's share of the final reduction.
 
-        Elements are block-partitioned among cores; for its elements the core
-        loads every replica's value and stores the combined result into the
-        shared array.  This is the phase whose cost grows with the number of
-        elements and replicas, and which COUP eliminates.
+        Elements are block-partitioned among cores; for each of its elements
+        the core loads every replica's value and stores the combined result
+        into the shared array.  This is the phase whose cost grows with the
+        number of elements and replicas, and which COUP eliminates.
         """
-        trace: Trace = []
-        append = trace.append
         n_elements = self.plan.n_elements
-        bounds = [
-            (n_elements * i) // n_cores for i in range(n_cores + 1)
-        ]
-        if bounds[core_id] == bounds[core_id + 1]:
-            # No elements for this core: allocate nothing (see update_phase).
-            return trace
-        element_bytes = self.plan.element_bytes
-        replica_bases = [
-            self._replica_base(replica) for replica in range(self.plan.n_replicas)
-        ]
-        if self._shared_base is None:
-            self._shared_base = self.addresses.region(f"{self.array_name}_shared")
-        shared_base = self._shared_base
-        load_t = AccessType.LOAD
-        store_t = AccessType.STORE
-        # This loop emits n_replicas * n_elements records — the largest trace
-        # in the repository — so records are filled in via __new__ plus slot
-        # stores, skipping constructor-call overhead (the addresses are
-        # derived from validated bases, so the __init__ checks cannot fire).
-        new = MemoryAccess.__new__
-        for element in range(bounds[core_id], bounds[core_id + 1]):
-            offset = element * element_bytes
-            for base in replica_bases:
-                record = new(MemoryAccess)
-                record.access_type = load_t
-                record.address = base + offset
-                record.op = None
-                record.value = None
-                record.think_instructions = 1
-                record.size_bytes = 8
-                append(record)
-            record = new(MemoryAccess)
-            record.access_type = store_t
-            record.address = shared_base + offset
-            record.op = None
-            record.value = None
-            record.think_instructions = 1
-            record.size_bytes = 8
-            append(record)
-        return trace
+        first = (n_elements * core_id) // n_cores
+        stop = (n_elements * (core_id + 1)) // n_cores
+        if first == stop:
+            return np.empty(0, dtype=ACCESS_DTYPE)
+        # Per element: one load per replica, then the shared store — a
+        # (elements x (replicas + 1)) address grid, flattened row-major.
+        bases = [self._replica_base(replica) for replica in range(self.plan.n_replicas)]
+        bases.append(self.addresses.region(f"{self.array_name}_shared"))
+        offsets = np.arange(first, stop, dtype=np.uint64) * self.plan.element_bytes
+        grid = offsets[:, None] + np.asarray(bases, dtype=np.uint64)[None, :]
+        codes = np.full(grid.shape, _LOAD_CODE, dtype=np.uint8)
+        codes[:, -1] = _STORE_CODE
+        return make_columns(codes.ravel(), grid.ravel(), 0, 1)
 
 
 def socket_of_core(cores_per_socket: int) -> Callable[[int], int]:

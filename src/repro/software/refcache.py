@@ -15,11 +15,21 @@ against in Fig. 13c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace
-from repro.workloads.base import AddressMap
+from repro.sim.access import AccessType
+from repro.sim.columnar import VK_INT, VK_NONE, ColumnBuilder, code_for
+
+if TYPE_CHECKING:
+    # Annotation only: repro.workloads imports this module.
+    from repro.workloads.base import AddressMap
+
+#: Packed codes of Refcache's access shapes: slot probe (load), slot update
+#: (store of an untracked value), and the flush's atomic add.
+_LOAD_CODE = code_for(AccessType.LOAD, None, 8, VK_NONE)
+_STORE_CODE = code_for(AccessType.STORE, None, 8, VK_NONE)
+_ADD_CODE = code_for(AccessType.ATOMIC_RMW, CommutativeOp.ADD_I64, 8, VK_INT)
 
 
 @dataclass
@@ -52,36 +62,28 @@ class RefcacheThreadCache:
             f"refcache_t{self.thread_id}", slot, self.config.slot_bytes
         )
 
-    def update(self, counter_id: int, delta: int) -> Trace:
-        """Accesses performed by one increment/decrement during an epoch.
+    def update(self, counter_id: int, delta: int, out: ColumnBuilder) -> None:
+        """Append one increment/decrement during an epoch.
 
         A hash-table probe (load of the slot), the delta update (store), plus
         the hashing and tag-check instructions as think time.
         """
         self.deltas[counter_id] = self.deltas.get(counter_id, 0) + delta
         slot = self._slot_address(counter_id)
-        return [
-            MemoryAccess.load(slot, think=6),
-            MemoryAccess.store(slot, None, think=2),
-        ]
+        out.append(_LOAD_CODE, slot, 0, 6)
+        out.append(_STORE_CODE, slot, 0, 2)
 
-    def flush(self, global_counter_address) -> Trace:
-        """Accesses performed by the end-of-epoch flush.
+    def flush(self, global_counter_address: Callable[[int], int], out: ColumnBuilder) -> None:
+        """Append the end-of-epoch flush.
 
         For every dirty slot, the thread reads the slot and applies the delta
         to the global counter with an atomic add; slots are then cleared.
         ``global_counter_address`` maps a counter id to its address.
         """
-        trace: Trace = []
         for counter_id, delta in sorted(self.deltas.items()):
-            trace.append(MemoryAccess.load(self._slot_address(counter_id), think=4))
-            trace.append(
-                MemoryAccess.atomic(
-                    global_counter_address(counter_id), CommutativeOp.ADD_I64, delta, think=2
-                )
-            )
+            out.append(_LOAD_CODE, self._slot_address(counter_id), 0, 4)
+            out.append(_ADD_CODE, global_counter_address(counter_id), delta, 2)
         self.deltas.clear()
-        return trace
 
     @property
     def footprint_bytes(self) -> int:

@@ -17,19 +17,24 @@ and COUP commutative updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace
-from repro.workloads.base import AddressMap
+from repro.sim.access import AccessType
+from repro.sim.columnar import VK_INT, VK_NONE, ColumnBuilder, code_for
 
+if TYPE_CHECKING:
+    # Annotation only: repro.workloads imports this module.
+    from repro.workloads.base import AddressMap
 
-@dataclass
-class SnziNodeState:
-    """Surplus held at one SNZI tree node for one shared object."""
+#: Packed codes of SNZI's two access shapes: an atomic add to a node, and
+#: the root load of a non-zero query.
+_NODE_ADD_CODE = code_for(AccessType.ATOMIC_RMW, CommutativeOp.ADD_I64, 8, VK_INT)
+_ROOT_LOAD_CODE = code_for(AccessType.LOAD, None, 8, VK_NONE)
 
-    surplus: int = 0
+#: Think instructions per node update and per root query.
+_NODE_THINK = 4
+_QUERY_THINK = 2
 
 
 class SnziTree:
@@ -37,7 +42,8 @@ class SnziTree:
 
     The functional model tracks per-node surpluses so the generated access
     stream contains parent propagation exactly when a real SNZI would perform
-    it (leaf surplus 0 -> 1 on arrival, 1 -> 0 on departure).
+    it (leaf surplus 0 -> 1 on arrival, 1 -> 0 on departure).  Each operation
+    appends its accesses to a :class:`~repro.sim.columnar.ColumnBuilder`.
     """
 
     def __init__(
@@ -54,62 +60,48 @@ class SnziTree:
         self.node_bytes = node_bytes
         # Heap-style tree layout: node 0 is the root.
         self.n_nodes = 2 * self.n_leaves - 1
-        self._state: Dict[int, SnziNodeState] = {}
-
-    def _node_state(self, node: int) -> SnziNodeState:
-        state = self._state.get(node)
-        if state is None:
-            state = SnziNodeState()
-            self._state[node] = state
-        return state
+        self._surplus: Dict[int, int] = {}
+        #: Base of the tree's region, allocated on the first node access.
+        self._base: Optional[int] = None
 
     def _node_address(self, node: int) -> int:
         # Nodes are padded to a cache line each to avoid false sharing, as the
         # SNZI paper recommends; this is part of SNZI's space overhead.
-        return self.addresses.element(
-            f"snzi_obj{self.object_id}", node, self.node_bytes
-        )
+        if self._base is None:
+            self._base = self.addresses.region(f"snzi_obj{self.object_id}")
+        return self._base + node * self.node_bytes
 
     def _leaf_of_thread(self, thread_id: int) -> int:
         return (self.n_nodes - self.n_leaves) + (thread_id % self.n_leaves)
 
-    @staticmethod
-    def _parent(node: int) -> int:
-        return (node - 1) // 2
-
-    def arrive(self, thread_id: int) -> Trace:
-        """Accesses performed by an increment (reference acquisition)."""
-        trace: Trace = []
+    def _propagate(self, thread_id: int, delta: int, out: ColumnBuilder, think: int) -> None:
+        """Add ``delta`` at the thread's leaf, climbing while the surplus crosses zero."""
         node = self._leaf_of_thread(thread_id)
+        gap = _NODE_THINK + think
         while True:
-            state = self._node_state(node)
-            trace.append(
-                MemoryAccess.atomic(self._node_address(node), CommutativeOp.ADD_I64, 1, think=4)
-            )
-            state.surplus += 1
-            if state.surplus != 1 or node == 0:
+            out.append(_NODE_ADD_CODE, self._node_address(node), delta, gap)
+            gap = _NODE_THINK
+            surplus = self._surplus.get(node, 0) + delta
+            self._surplus[node] = surplus
+            # Arrival propagates on 0 -> 1, departure on 1 -> 0.
+            crossed_zero = surplus == (1 if delta > 0 else 0)
+            if not crossed_zero or node == 0:
                 break
-            node = self._parent(node)
-        return trace
+            node = (node - 1) // 2
 
-    def depart(self, thread_id: int) -> Trace:
-        """Accesses performed by a decrement (reference release)."""
-        trace: Trace = []
-        node = self._leaf_of_thread(thread_id)
-        while True:
-            state = self._node_state(node)
-            trace.append(
-                MemoryAccess.atomic(self._node_address(node), CommutativeOp.ADD_I64, -1, think=4)
-            )
-            state.surplus -= 1
-            if state.surplus != 0 or node == 0:
-                break
-            node = self._parent(node)
-        return trace
+    def arrive(self, thread_id: int, out: ColumnBuilder, think: int = 0) -> None:
+        """Append an increment (reference acquisition); ``think`` extra
+        instructions are charged to its first access."""
+        self._propagate(thread_id, 1, out, think)
 
-    def query(self, _thread_id: int) -> Trace:
-        """Accesses performed by a non-zero check (read of the root)."""
-        return [MemoryAccess.load(self._node_address(0), think=2)]
+    def depart(self, thread_id: int, out: ColumnBuilder, think: int = 0) -> None:
+        """Append a decrement (reference release); ``think`` extra
+        instructions are charged to its first access."""
+        self._propagate(thread_id, -1, out, think)
+
+    def query(self, _thread_id: int, out: ColumnBuilder) -> None:
+        """Append a non-zero check (read of the root)."""
+        out.append(_ROOT_LOAD_CODE, self._node_address(0), 0, _QUERY_THINK)
 
     @property
     def footprint_bytes(self) -> int:

@@ -5,7 +5,7 @@ lane closes the loop with the *live* engines in :mod:`repro.sim`.  One
 generated transaction stream — loads, stores, commutative updates, and
 evictions over a handful of addresses — drives both sides:
 
-* **Live side**: the stream becomes a :class:`WorkloadTrace` (updates map to
+* **Live side**: the stream becomes a :class:`ColumnarTrace` (updates map to
   ``atomic`` under MESI, ``commutative`` under COUP/MEUSI, ``remote_update``
   under RMO; evictions have no live counterpart and are dropped).  The run
   is executed twice, once with the scalar kernel and once with the batched
@@ -354,32 +354,27 @@ def shrink_stream(
 def stream_workload(config: StreamConfig, stream: Sequence[Transaction]) -> Any:
     """The live-engine workload of a stream (evictions dropped)."""
     from repro.core.commutative import CommutativeOp
-    from repro.sim.access import MemoryAccess, WorkloadTrace
+    from repro.sim.access import AccessType
+    from repro.sim.columnar import VK_INT, VK_NONE, ColumnarTrace, ColumnBuilder, code_for
 
-    protocol = config.protocol.upper()
-    per_core: List[List[Any]] = [[] for _ in range(config.n_cores)]
+    update_type = {
+        "MESI": AccessType.ATOMIC_RMW,
+        "RMO": AccessType.REMOTE_UPDATE,
+    }.get(config.protocol.upper(), AccessType.COMMUTATIVE_UPDATE)
+    codes = {
+        "load": (code_for(AccessType.LOAD, None, 8, VK_NONE), 0),
+        "store": (code_for(AccessType.STORE, None, 8, VK_INT), 0),
+        "update": (code_for(update_type, CommutativeOp.ADD_I64, 8, VK_INT), 1),
+    }
+    builders = [ColumnBuilder() for _ in range(config.n_cores)]
     for core, address, kind in stream:
-        byte_address = int(address) * 64
-        if kind == "load":
-            per_core[int(core)].append(MemoryAccess.load(byte_address))
-        elif kind == "store":
-            per_core[int(core)].append(MemoryAccess.store(byte_address, value=0))
-        elif kind == "update":
-            if protocol == "MESI":
-                access = MemoryAccess.atomic(byte_address, CommutativeOp.ADD_I64, 1)
-            elif protocol == "RMO":
-                access = MemoryAccess.remote_update(
-                    byte_address, CommutativeOp.ADD_I64, 1
-                )
-            else:
-                access = MemoryAccess.commutative(
-                    byte_address, CommutativeOp.ADD_I64, 1
-                )
-            per_core[int(core)].append(access)
         # evictions are a model-side concern; live caches evict by capacity.
-    return WorkloadTrace(
+        if kind in codes:
+            code, delta = codes[kind]
+            builders[int(core)].append(code, int(address) * 64, delta, 0)
+    return ColumnarTrace(
         name="differential-stream",
-        per_core=per_core,
+        columns=[builder.build() for builder in builders],
         params={"seed": config.seed, "length": config.length},
     )
 
@@ -390,11 +385,10 @@ def _run_live(
     """One live run under a forced kernel; (result jsonable, engine)."""
     import os
 
-    from repro.sim.columnar import ColumnarTrace
     from repro.sim.config import small_test_config
     from repro.sim.simulator import MulticoreSimulator, make_protocol
 
-    workload = ColumnarTrace.from_workload(stream_workload(config, stream))
+    workload = stream_workload(config, stream)
     sim_config = small_test_config(config.n_cores)
     engine = make_protocol(config.protocol, sim_config, track_values=True)
     simulator = MulticoreSimulator(sim_config, engine, track_values=True)

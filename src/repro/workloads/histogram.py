@@ -23,8 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
-from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace
+from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, make_columns
 from repro.software.privatization import (
     PrivatizationLevel,
     PrivatizedReductionBuilder,
@@ -77,62 +76,12 @@ class HistogramWorkload(Workload):
     def _bin_address(self, bin_index: int) -> int:
         return self.addresses.element("hist_bins", int(bin_index), self.bin_bytes)
 
-    def _input_address(self, item_index: int) -> int:
-        return self.addresses.element("hist_input", int(item_index), 4)
-
     # -- shared-histogram variants (atomics / COUP / RMO) -------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        bins = self._input_bins()
-        partitions = self.split_work(self.n_items, n_cores)
-        # Hoisted out of the per-item loop: region bases (touched in the same
-        # first-use order as the loop would) and the update-access shape that
-        # ``make_update`` would resolve per item.
-        input_base = self.addresses.region("hist_input")
-        bin_base = self.addresses.region("hist_bins")
-        load_t = AccessType.LOAD
-        update_t, update_op, update_size = self._update_shape()
-        think_per_item = self.THINK_PER_ITEM
-        bin_bytes = self.bin_bytes
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            trace: Trace = []
-            append = trace.append
-            for item in partitions[core_id]:
-                append(
-                    MemoryAccess(
-                        load_t,
-                        input_base + item * 4,
-                        think_instructions=think_per_item,
-                        size_bytes=4,
-                    )
-                )
-                append(
-                    MemoryAccess(
-                        update_t,
-                        bin_base + int(bins[item]) * bin_bytes,
-                        op=update_op,
-                        value=1,
-                        think_instructions=2,
-                        size_bytes=update_size,
-                    )
-                )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_bins": self.n_bins,
-                "n_items": self.n_items,
-                "variant": self.update_style.value,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`: columns via array ops.
+        """Per input item, a load of the item and an update of its bin.
 
-        Same RNG draws, same region-allocation order, same interleaving —
-        the loads land on even slots and the bin updates on odd slots of
+        The loads land on even slots and the bin updates on odd slots of
         each core's column.
         """
         bins = self._input_bins()
@@ -177,14 +126,16 @@ class HistogramWorkload(Workload):
         *,
         level: PrivatizationLevel = PrivatizationLevel.CORE,
         cores_per_socket: int = 16,
-    ) -> WorkloadTrace:
+    ) -> ColumnarTrace:
         """Software-privatized histogram with an explicit reduction phase.
 
-        Core-level privatization gives each thread its own bin array updated
-        with plain loads and stores; socket-level privatization shares one
-        replica per socket, updated with atomics.  After a barrier, bins are
-        partitioned among cores and each core folds every replica into the
-        shared histogram (Fig. 12's two software schemes).
+        Each core first loads all of its input items, then updates its
+        replica's bins.  Core-level privatization gives each thread its own
+        bin array updated with plain loads and stores; socket-level
+        privatization shares one replica per socket, updated with atomics.
+        After a barrier, bins are partitioned among cores and each core folds
+        every replica into the shared histogram (Fig. 12's two software
+        schemes).
         """
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
@@ -210,31 +161,21 @@ class HistogramWorkload(Workload):
         )
 
         input_base = self.addresses.region("hist_input")
-        load_t = AccessType.LOAD
-        think_per_item = self.THINK_PER_ITEM
-        per_core: List[Trace] = []
+        load_code = self._load_code(4)
+        columns: List[np.ndarray] = []
         update_counts: List[int] = []
         for core_id in range(n_cores):
-            updates = []
-            trace: Trace = []
-            for item in partitions[core_id]:
-                trace.append(
-                    MemoryAccess(
-                        load_t,
-                        input_base + item * 4,
-                        think_instructions=think_per_item,
-                        size_bytes=4,
-                    )
-                )
-                updates.append((int(bins[item]), 1, 2))
-            trace.extend(builder.update_phase(core_id, updates))
-            update_counts.append(len(trace))
-            trace.extend(builder.reduction_phase(core_id, n_cores))
-            per_core.append(trace)
+            part = partitions[core_id]
+            items = np.arange(part.start, part.stop, dtype=np.uint64)
+            loads = make_columns(load_code, input_base + items * 4, 0, self.THINK_PER_ITEM)
+            updates = builder.update_phase(core_id, bins[part.start : part.stop], 1, 2)
+            update_counts.append(len(loads) + len(updates))
+            reduction = builder.reduction_phase(core_id, n_cores)
+            columns.append(np.concatenate([loads, updates, reduction]))
 
-        return WorkloadTrace(
+        return ColumnarTrace(
             name=f"{self.name}-priv-{level.value}",
-            per_core=per_core,
+            columns=columns,
             params={
                 "n_bins": self.n_bins,
                 "n_items": self.n_items,

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, encode_value
 from repro.workloads.base import UpdateStyle, Workload
 
@@ -112,48 +111,12 @@ class SpmvWorkload(Workload):
     def _y_address(self, row: int) -> int:
         return self.addresses.element("spmv_y", int(row), 8)
 
-    def _value_address(self, nnz_index: int) -> int:
-        return self.addresses.element("spmv_vals", int(nnz_index), 8)
-
-    def _x_address(self, col: int) -> int:
-        return self.addresses.element("spmv_x", int(col), 8)
-
     # -- trace generation ------------------------------------------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        columns = self._column_rows()
-        partitions = self.split_work(self.n_cols, n_cores)
-        per_core: List[Trace] = []
-        nnz_counter = 0
-        for core_id in range(n_cores):
-            trace: Trace = []
-            for col in partitions[core_id]:
-                # x[col] is read once per column and stays in registers.
-                trace.append(MemoryAccess.load(self._x_address(col), think=4))
-                for row in columns[col]:
-                    trace.append(
-                        MemoryAccess.load(
-                            self._value_address(nnz_counter), think=self.THINK_PER_NNZ
-                        )
-                    )
-                    nnz_counter += 1
-                    trace.append(
-                        self.make_update(self._y_address(row), self.op, 1.0, think=1)
-                    )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_rows": self.n_rows,
-                "n_cols": self.n_cols,
-                "nnz_per_col": self.nnz_per_col,
-                "variant": self.update_style.value,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`.
+        """Column-partitioned SpMV: per column, an x load (x[col] then stays
+        in registers), then per nonzero a value load and an update of the
+        row's y entry.
 
         Each column's ``[x-load, (value-load, y-update) * nnz]`` block is
         laid out with :func:`interleave_blocks`; the global nonzero counter

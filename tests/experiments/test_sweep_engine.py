@@ -107,14 +107,14 @@ class TestTraceCache:
         spec = WorkloadSpec.plain(hist_factory)
         config = small_test_config(4)
         shared = simulate(cache.get(spec, 4), config, "COUP")
-        fresh = simulate(spec.materialize(4), config, "COUP")
+        fresh = simulate(spec.materialize_columnar(4), config, "COUP")
         assert shared == fresh
 
 
 class TestSimulationResultRoundtrip:
     def test_json_roundtrip_is_bit_identical(self):
         workload = hist_factory()
-        result = simulate(workload.generate(2), table1_config(2), "COUP", track_values=True)
+        result = simulate(workload.generate_columnar(2), table1_config(2), "COUP", track_values=True)
         encoded = json.loads(json.dumps(result.to_jsonable()))
         from repro.sim.stats import SimulationResult
 
@@ -192,7 +192,7 @@ class TestExecute:
         spec = WorkloadSpec.plain(hist_factory)
         ctx = ExecutionContext(TraceCache())
         point = FuncPoint("stats", lambda c: c.trace(spec, 2).total_accesses)
-        assert point.execute(ctx) == spec.materialize(2).total_accesses
+        assert point.execute(ctx) == spec.materialize_columnar(2).total_accesses
 
 
 class TestRunnerPointMode:
@@ -257,33 +257,27 @@ class TestColumnarTraceCache:
         assert stats["traces"] == 1 and stats["misses"] == 1
         assert stats["bytes"] == trace.nbytes
 
-    def test_columnar_cache_simulates_identically_to_object_form(self):
+    def test_cached_trace_simulates_identically_to_fresh_trace(self):
         cache = TraceCache()
         spec = WorkloadSpec.plain(hist_factory)
         config = small_test_config(4)
-        columnar = simulate(cache.get(spec, 4), config, "COUP", track_values=True)
-        fresh = simulate(spec.materialize(4), config, "COUP", track_values=True)
-        assert columnar == fresh
+        cached = simulate(cache.get(spec, 4), config, "COUP", track_values=True)
+        fresh = simulate(spec.materialize_columnar(4), config, "COUP", track_values=True)
+        assert cached == fresh
 
-    def test_unpackable_trace_falls_back_to_object_form(self):
-        from repro.sim.access import MemoryAccess, WorkloadTrace
+    def test_unpackable_trace_fails_without_caching(self):
+        """A codec error propagates: there is no object form to fall back to."""
+        from repro.sim.columnar import TraceCodecError
 
         class WeirdWorkload(MultiCounterWorkload):
             def generate_columnar(self, n_cores):
-                raise AssertionError("must not be used for unpackable traces")
-
-            def generate(self, n_cores):
-                trace = [MemoryAccess.store(64, value=("un", "packable"))]
-                return WorkloadTrace(name="weird", per_core=[trace] * n_cores)
+                raise TraceCodecError("unrepresentable operand value")
 
         cache = TraceCache()
-        spec = WorkloadSpec(
-            lambda: WeirdWorkload(n_counters=4, updates_per_core=2),
-            materialize=lambda workload, n_cores: workload.generate(n_cores),
-        )
-        trace = cache.get(spec, 2)
-        assert trace.per_core[0][0].value == ("un", "packable")
-        assert cache.total_bytes == 0  # object-form fallback is not packed
+        spec = WorkloadSpec.plain(lambda: WeirdWorkload(n_counters=4, updates_per_core=2))
+        with pytest.raises(TraceCodecError):
+            cache.get(spec, 2)
+        assert len(cache) == 0
 
     def test_store_dir_roundtrips_traces_through_npz(self, tmp_path):
         store = str(tmp_path / "traces")

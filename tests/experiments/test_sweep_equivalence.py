@@ -68,13 +68,13 @@ def legacy_figure10_run_benchmark(name, core_counts):
     core_counts = list(core_counts)
     if 1 not in core_counts:
         core_counts = [1] + core_counts
-    baseline_workload = factory(UpdateStyle.ATOMIC).generate(1)
+    baseline_workload = factory(UpdateStyle.ATOMIC).generate_columnar(1)
     baseline = simulate(baseline_workload, table1_config(1), "MESI", track_values=False)
     rows = []
     for n_cores in core_counts:
         config = table1_config(n_cores)
-        mesi_trace = factory(UpdateStyle.ATOMIC).generate(n_cores)
-        coup_trace = factory(UpdateStyle.COMMUTATIVE).generate(n_cores)
+        mesi_trace = factory(UpdateStyle.ATOMIC).generate_columnar(n_cores)
+        coup_trace = factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores)
         mesi = simulate(mesi_trace, config, "MESI", track_values=False)
         coup = simulate(coup_trace, config, "COUP", track_values=False)
         rows.append(
@@ -96,7 +96,7 @@ def legacy_figure11_run_benchmark(name, core_points):
     for n_cores in core_points:
         config = table1_config(n_cores)
         for protocol, style in (("COUP", UpdateStyle.COMMUTATIVE), ("MESI", UpdateStyle.ATOMIC)):
-            trace = factory(style).generate(n_cores)
+            trace = factory(style).generate_columnar(n_cores)
             result = simulate(trace, config, protocol, track_values=False)
             row = {
                 "benchmark": name,
@@ -128,8 +128,8 @@ def legacy_figure2_run(bin_counts, n_cores, n_items):
         privatized = HistogramWorkload(
             n_bins=n_bins, n_items=n_items, update_style=UpdateStyle.ATOMIC
         ).generate_privatized(n_cores, level=PrivatizationLevel.CORE)
-        coup = simulate(coup_workload.generate(n_cores), config, "COUP", track_values=False)
-        atomics = simulate(atomic_workload.generate(n_cores), config, "MESI", track_values=False)
+        coup = simulate(coup_workload.generate_columnar(n_cores), config, "COUP", track_values=False)
+        atomics = simulate(atomic_workload.generate_columnar(n_cores), config, "MESI", track_values=False)
         privatization = simulate(privatized, config, "MESI", track_values=False)
         rows.append(
             {
@@ -157,11 +157,11 @@ def legacy_figure12_run_bin_count(n_bins, core_counts, n_items):
             n_bins=n_bins, n_items=n_items, update_style=UpdateStyle.COMMUTATIVE
         )
 
-    baseline = simulate(make_workload().generate(1), table1_config(1), "MESI", track_values=False)
+    baseline = simulate(make_workload().generate_columnar(1), table1_config(1), "MESI", track_values=False)
     rows = []
     for n_cores in core_counts:
         config = table1_config(n_cores)
-        coup = simulate(make_workload().generate(n_cores), config, "COUP", track_values=False)
+        coup = simulate(make_workload().generate_columnar(n_cores), config, "COUP", track_values=False)
         core_priv = simulate(
             make_workload().generate_privatized(n_cores, level=PrivatizationLevel.CORE),
             config,
@@ -204,19 +204,19 @@ def legacy_figure13_run_immediate(count_mode, core_counts, n_counters, updates_p
         )
 
     baseline = simulate(
-        workload(RefcountScheme.XADD).generate(1), table1_config(1), "MESI", track_values=False
+        workload(RefcountScheme.XADD).generate_columnar(1), table1_config(1), "MESI", track_values=False
     )
     rows = []
     for n_cores in core_counts:
         config = table1_config(n_cores)
         coup = simulate(
-            workload(RefcountScheme.COUP).generate(n_cores), config, "COUP", track_values=False
+            workload(RefcountScheme.COUP).generate_columnar(n_cores), config, "COUP", track_values=False
         )
         xadd = simulate(
-            workload(RefcountScheme.XADD).generate(n_cores), config, "MESI", track_values=False
+            workload(RefcountScheme.XADD).generate_columnar(n_cores), config, "MESI", track_values=False
         )
         snzi = simulate(
-            workload(RefcountScheme.SNZI).generate(n_cores), config, "MESI", track_values=False
+            workload(RefcountScheme.SNZI).generate_columnar(n_cores), config, "MESI", track_values=False
         )
         rows.append(
             {
@@ -244,9 +244,9 @@ def legacy_figure13_run_delayed(updates_per_epoch_values, n_cores, n_counters):
             updates_per_epoch=updates_per_epoch,
             scheme=RefcountScheme.REFCACHE,
         )
-        coup = simulate(coup_workload.generate(n_cores), config, "COUP", track_values=False)
+        coup = simulate(coup_workload.generate_columnar(n_cores), config, "COUP", track_values=False)
         refcache = simulate(
-            refcache_workload.generate(n_cores), config, "MESI", track_values=False
+            refcache_workload.generate_columnar(n_cores), config, "MESI", track_values=False
         )
         total_updates = updates_per_epoch * coup_workload.n_epochs * n_cores
         rows.append(
@@ -266,7 +266,7 @@ def legacy_table2_run():
     for name, factory in PAPER_WORKLOAD_FACTORIES.items():
         workload = factory(UpdateStyle.COMMUTATIVE)
         stats = workload.stats(1)
-        sequential = simulate(workload.generate(1), config, "MESI", track_values=False)
+        sequential = simulate(workload.generate_columnar(1), config, "MESI", track_values=False)
         rows.append(
             {
                 "benchmark": name,
@@ -285,10 +285,10 @@ def legacy_traffic_run(n_cores):
     rows = []
     for name, factory in PAPER_WORKLOAD_FACTORIES.items():
         mesi = simulate(
-            factory(UpdateStyle.ATOMIC).generate(n_cores), config, "MESI", track_values=False
+            factory(UpdateStyle.ATOMIC).generate_columnar(n_cores), config, "MESI", track_values=False
         )
         coup = simulate(
-            factory(UpdateStyle.COMMUTATIVE).generate(n_cores),
+            factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores),
             config,
             "COUP",
             track_values=False,
@@ -313,13 +313,13 @@ def legacy_sensitivity_run(n_cores):
     rows = []
     for name, factory in PAPER_WORKLOAD_FACTORIES.items():
         fast = simulate(
-            factory(UpdateStyle.COMMUTATIVE).generate(n_cores),
+            factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores),
             fast_config,
             "COUP",
             track_values=False,
         )
         slow = simulate(
-            factory(UpdateStyle.COMMUTATIVE).generate(n_cores),
+            factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores),
             slow_config,
             "COUP",
             track_values=False,
@@ -350,13 +350,13 @@ def legacy_ablation_interleaving_run(updates_per_read_values, n_cores, n_element
             )
 
         mesi = simulate(
-            workload(UpdateStyle.ATOMIC).generate(n_cores), config, "MESI", track_values=False
+            workload(UpdateStyle.ATOMIC).generate_columnar(n_cores), config, "MESI", track_values=False
         )
         coup = simulate(
-            workload(UpdateStyle.COMMUTATIVE).generate(n_cores), config, "COUP", track_values=False
+            workload(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores), config, "COUP", track_values=False
         )
         rmo = simulate(
-            workload(UpdateStyle.REMOTE).generate(n_cores), config, "RMO", track_values=False
+            workload(UpdateStyle.REMOTE).generate_columnar(n_cores), config, "RMO", track_values=False
         )
         rows.append(
             {
@@ -383,7 +383,7 @@ def legacy_ablation_hierarchical_simulated(n_cores, socket_widths, n_counters, u
             hot_fraction=0.3,
             update_style=UpdateStyle.COMMUTATIVE,
         )
-        result = simulate(workload.generate(n_cores), config, "COUP", track_values=False)
+        result = simulate(workload.generate_columnar(n_cores), config, "COUP", track_values=False)
         rows.append(
             {
                 "n_cores": n_cores,
@@ -564,7 +564,7 @@ class TestTraceSharing:
         def factory(n_cores):
             return MultiCounterWorkload(
                 n_counters=32, updates_per_core=120, update_style=UpdateStyle.COMMUTATIVE
-            ).generate(n_cores)
+            ).generate_columnar(n_cores)
 
         shared = compare_protocols(
             factory, config, protocols=("MESI", "COUP", "RMO"), track_values=True
@@ -583,14 +583,14 @@ class TestTraceSharing:
         workload = HistogramWorkload(
             n_bins=64, n_items=600, update_style=UpdateStyle.COMMUTATIVE
         )
-        trace = workload.generate(4)
+        trace = workload.generate_columnar(4)
         config = table1_config(4)
         first = simulate(trace, config, "COUP", track_values=False)
         second = simulate(trace, config, "COUP", track_values=False)
         fresh = simulate(
             HistogramWorkload(
                 n_bins=64, n_items=600, update_style=UpdateStyle.COMMUTATIVE
-            ).generate(4),
+            ).generate_columnar(4),
             config,
             "COUP",
             track_values=False,

@@ -140,7 +140,7 @@ class TestEndToEnd:
         workload = SharedCounterWorkload(
             updates_per_core=300, update_style=UpdateStyle.ATOMIC
         )
-        return workload.generate(self.N_CORES)
+        return workload.generate_columnar(self.N_CORES)
 
     def _config(self, **topology_kwargs):
         return small_test_config(self.N_CORES).with_topology(
@@ -207,7 +207,7 @@ class TestEndToEnd:
         workload = MultiCounterWorkload(
             n_counters=64, updates_per_core=150, hot_fraction=0.3
         )
-        trace = workload.generate(16)
+        trace = workload.generate_columnar(16)
         runs = {}
         for name in TOPOLOGY_NAMES:
             topo_config = config.with_topology(TopologyConfig(name=name))

@@ -99,7 +99,7 @@ class TestNetworkSummary:
         config = small_test_config(4)
         engine = make_protocol("MESI", config, track_values=False)
         simulator = MulticoreSimulator(config, engine, track_values=False)
-        result = simulator.run(SharedCounterWorkload(updates_per_core=50).generate(4))
+        result = simulator.run(SharedCounterWorkload(updates_per_core=50).generate_columnar(4))
         summary = engine.hierarchy.network_summary()
         assert summary["topology"] == "dancehall"
         assert summary["contention"] is False

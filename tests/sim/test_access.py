@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace, merge_traces
+from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace
+from repro.sim.columnar import ColumnarTrace
 
 
 class TestMemoryAccess:
@@ -51,7 +52,7 @@ class TestWorkloadTrace:
             [MemoryAccess.load(0x0, think=3), MemoryAccess.commutative(0x8, CommutativeOp.ADD_I64, 1)],
             [MemoryAccess.atomic(0x8, CommutativeOp.ADD_I64, 1, think=2)],
         ]
-        return WorkloadTrace(name="t", per_core=per_core)
+        return ColumnarTrace.from_workload(WorkloadTrace(name="t", per_core=per_core))
 
     def test_counts(self):
         trace = self._trace()
@@ -74,8 +75,3 @@ class TestWorkloadTrace:
         trace.phase_boundaries = [[2]]
         with pytest.raises(ValueError):
             trace.validate()
-
-    def test_merge_traces(self):
-        trace = self._trace()
-        merged = merge_traces(trace.per_core)
-        assert len(merged) == 3

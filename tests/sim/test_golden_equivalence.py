@@ -22,7 +22,6 @@ import os
 
 import pytest
 
-from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config
 from repro.sim.simulator import simulate
 from repro.workloads.base import UpdateStyle
@@ -113,7 +112,7 @@ def _fingerprint(result) -> dict:
 def compute_fingerprints() -> dict:
     fingerprints = {}
     for case_name, workload in _workload_cases().items():
-        trace = workload.generate(N_CORES)
+        trace = workload.generate_columnar(N_CORES)
         for protocol in PROTOCOLS:
             config = small_test_config(N_CORES)
             result = simulate(trace, config, protocol, track_values=True)
@@ -151,19 +150,31 @@ def test_golden_covers_all_protocols():
 
 
 # ---------------------------------------------------------------------------
-# Columnar-path equivalence
+# Execution-path equivalence
 # ---------------------------------------------------------------------------
 
 
+def _simulate_in_mode(trace, n_cores, protocol, mode):
+    """Simulate with ``REPRO_SIM_KERNEL`` forced to ``mode``."""
+    previous = os.environ.get("REPRO_SIM_KERNEL")
+    os.environ["REPRO_SIM_KERNEL"] = mode
+    try:
+        return simulate(trace, small_test_config(n_cores), protocol, track_values=True)
+    finally:
+        if previous is None:
+            del os.environ["REPRO_SIM_KERNEL"]
+        else:
+            os.environ["REPRO_SIM_KERNEL"] = previous
+
+
 @pytest.fixture(scope="module")
-def columnar_fingerprints() -> dict:
-    """Fingerprints of the golden cases simulated via the columnar path."""
+def scalar_fingerprints() -> dict:
+    """Fingerprints of the golden cases simulated by the scalar loop alone."""
     fingerprints = {}
     for case_name, workload in _workload_cases().items():
-        trace = ColumnarTrace.from_workload(workload.generate(N_CORES))
+        trace = workload.generate_columnar(N_CORES)
         for protocol in PROTOCOLS:
-            config = small_test_config(N_CORES)
-            result = simulate(trace, config, protocol, track_values=True)
+            result = _simulate_in_mode(trace, N_CORES, protocol, "scalar")
             fingerprints[f"{case_name}/{protocol}"] = _fingerprint(result)
     return fingerprints
 
@@ -172,15 +183,15 @@ def columnar_fingerprints() -> dict:
     "case_key",
     [f"{case}/{protocol}" for case in _workload_cases() for protocol in PROTOCOLS],
 )
-def test_columnar_simulation_matches_golden(case_key, columnar_fingerprints):
-    """The columnar fast path must reproduce the pinned golden results."""
+def test_scalar_loop_matches_golden(case_key, scalar_fingerprints):
+    """The scalar loop alone must reproduce the pinned golden results."""
     golden = _load_golden()
-    current = json.loads(json.dumps(columnar_fingerprints[case_key]))
+    current = json.loads(json.dumps(scalar_fingerprints[case_key]))
     assert current == golden[case_key]
 
 
-#: Paper-benchmark grid pinning object-vs-columnar equality per
-#: protocol x workload x update style x core count (ISSUE 3 acceptance).
+#: Paper-benchmark grid pinning batched-kernel-vs-scalar-loop equality per
+#: protocol x workload x update style x core count.
 def _paper_grid_cases():
     factories = {
         "hist": lambda style: HistogramWorkload(n_bins=32, n_items=500, update_style=style),
@@ -211,16 +222,12 @@ _PAPER_GRID, _PAPER_FACTORIES = _paper_grid_cases()
     ids=[f"{n}/{s.value}/{c}" for n, s, c in _PAPER_GRID],
 )
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_columnar_equals_object_on_paper_grid(workload_name, style, n_cores, protocol):
-    """Simulating the columnar form must be bit-identical to the object form."""
-    factory = _PAPER_FACTORIES[workload_name]
-    object_trace = factory(style).generate(n_cores)
-    columnar_trace = factory(style).generate_columnar(n_cores)
-    config = small_test_config(n_cores)
-    object_result = simulate(object_trace, config, protocol, track_values=True)
-    config = small_test_config(n_cores)
-    columnar_result = simulate(columnar_trace, config, protocol, track_values=True)
-    assert _fingerprint(columnar_result) == _fingerprint(object_result)
+def test_kernel_equals_scalar_on_paper_grid(workload_name, style, n_cores, protocol):
+    """The batched kernel must be bit-identical to the scalar loop."""
+    trace = _PAPER_FACTORIES[workload_name](style).generate_columnar(n_cores)
+    batched = _simulate_in_mode(trace, n_cores, protocol, "batch")
+    scalar = _simulate_in_mode(trace, n_cores, protocol, "scalar")
+    assert _fingerprint(batched) == _fingerprint(scalar)
 
 
 def main() -> None:

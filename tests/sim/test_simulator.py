@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import MemoryAccess, WorkloadTrace
+from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config, table1_config
 from repro.sim.simulator import (
     PROTOCOLS,
@@ -15,6 +16,11 @@ from repro.sim.simulator import (
     simulate,
 )
 from repro.workloads import SharedCounterWorkload, UpdateStyle
+
+
+def _packed(*args, **kwargs) -> ColumnarTrace:
+    """A hand-written object-form trace, packed for the simulator."""
+    return ColumnarTrace.from_workload(WorkloadTrace(*args, **kwargs))
 
 
 class TestProtocolRegistry:
@@ -34,7 +40,7 @@ class TestProtocolRegistry:
 class TestSimulatorBasics:
     def test_empty_workload(self):
         config = small_test_config(2)
-        workload = WorkloadTrace(name="empty", per_core=[[], []])
+        workload = _packed(name="empty", per_core=[[], []])
         result = simulate(workload, config, "MESI")
         assert result.run_cycles == 0
         assert result.total_accesses == 0
@@ -42,16 +48,22 @@ class TestSimulatorBasics:
     def test_single_core_latency_accumulates(self):
         config = small_test_config(1)
         trace = [MemoryAccess.load(i * 64, think=10) for i in range(5)]
-        workload = WorkloadTrace(name="loads", per_core=[trace])
+        workload = _packed(name="loads", per_core=[trace])
         result = simulate(workload, config, "MESI")
         assert result.total_accesses == 5
         # Run time covers think time plus per-access memory latency.
         think_cycles = 5 * 10 * config.core.cycles_per_instruction
         assert result.run_cycles > think_cycles
 
+    def test_object_form_trace_rejected(self):
+        config = small_test_config(1)
+        workload = WorkloadTrace(name="objects", per_core=[[MemoryAccess.load(0x40)]])
+        with pytest.raises(TypeError, match="from_workload"):
+            simulate(workload, config, "MESI")
+
     def test_workload_larger_than_machine_rejected(self):
         config = small_test_config(2)
-        workload = WorkloadTrace(name="too-big", per_core=[[], [], []])
+        workload = _packed(name="too-big", per_core=[[], [], []])
         with pytest.raises(ValueError):
             simulate(workload, config, "MESI")
 
@@ -59,7 +71,7 @@ class TestSimulatorBasics:
         config = small_test_config(2)
         long_trace = [MemoryAccess.load(i * 64, think=50) for i in range(20)]
         short_trace = [MemoryAccess.load(0x5000, think=1)]
-        workload = WorkloadTrace(name="skewed", per_core=[long_trace, short_trace])
+        workload = _packed(name="skewed", per_core=[long_trace, short_trace])
         result = simulate(workload, config, "MESI")
         finish_times = [stats.finish_time for stats in result.core_stats]
         assert result.run_cycles == pytest.approx(max(finish_times))
@@ -67,10 +79,10 @@ class TestSimulatorBasics:
 
     def test_atomic_overhead_charged_by_core_model(self):
         config = small_test_config(1)
-        atomic_wl = WorkloadTrace(
+        atomic_wl = _packed(
             name="a", per_core=[[MemoryAccess.atomic(0x0, CommutativeOp.ADD_I64, 1)]]
         )
-        store_wl = WorkloadTrace(name="s", per_core=[[MemoryAccess.store(0x0, 1)]])
+        store_wl = _packed(name="s", per_core=[[MemoryAccess.store(0x0, 1)]])
         atomic_run = simulate(atomic_wl, config, "MESI")
         store_run = simulate(store_wl, config, "MESI")
         assert atomic_run.run_cycles > store_run.run_cycles
@@ -85,7 +97,7 @@ class TestPhaseBarriers:
         core1 = [MemoryAccess.load(0x8000, think=1)]
         core0_phase1 = [MemoryAccess.load(0x9000, think=1)]
         core1_phase1 = [MemoryAccess.load(0xA000, think=1)]
-        workload = WorkloadTrace(
+        workload = _packed(
             name="barrier",
             per_core=[core0 + core0_phase1, core1 + core1_phase1],
             phase_boundaries=[[len(core0), len(core1)]],
@@ -103,7 +115,7 @@ class TestPhaseBarriers:
             for core in range(2):
                 per_core[core].append(MemoryAccess.load(0x1000 * (phase + 1) + 0x40 * core, think=5))
             boundaries.append([len(per_core[0]), len(per_core[1])])
-        workload = WorkloadTrace(name="phases", per_core=per_core, phase_boundaries=boundaries)
+        workload = _packed(name="phases", per_core=per_core, phase_boundaries=boundaries)
         result = simulate(workload, config, "MESI")
         assert result.total_accesses == 6
 
@@ -118,7 +130,7 @@ class TestFunctionalCorrectness:
             "RMO": UpdateStyle.REMOTE,
         }[protocol]
         workload_gen = SharedCounterWorkload(updates_per_core=100, update_style=style)
-        workload = workload_gen.generate(4)
+        workload = workload_gen.generate_columnar(4)
         result = simulate(workload, config, protocol)
         assert result.final_values[workload_gen.counter_address] == 400
 
@@ -126,7 +138,7 @@ class TestFunctionalCorrectness:
         config = small_test_config(4)
 
         def factory(n_cores):
-            return SharedCounterWorkload(updates_per_core=50).generate(n_cores)
+            return SharedCounterWorkload(updates_per_core=50).generate_columnar(n_cores)
 
         results = compare_protocols(factory, config, protocols=("MESI", "COUP", "RMO"))
         assert set(results) == {"MESI", "COUP", "RMO"}
@@ -138,19 +150,19 @@ class TestCoupBeatsBaselinesUnderContention:
         config = table1_config(16)
         coup_wl = SharedCounterWorkload(updates_per_core=200, update_style=UpdateStyle.COMMUTATIVE)
         mesi_wl = SharedCounterWorkload(updates_per_core=200, update_style=UpdateStyle.ATOMIC)
-        coup = simulate(coup_wl.generate(16), config, "COUP")
-        mesi = simulate(mesi_wl.generate(16), config, "MESI")
+        coup = simulate(coup_wl.generate_columnar(16), config, "COUP")
+        mesi = simulate(mesi_wl.generate_columnar(16), config, "MESI")
         assert coup.speedup_over(mesi) > 2.0
 
     def test_coup_reduces_invalidations(self):
         config = table1_config(16)
         coup = simulate(
-            SharedCounterWorkload(updates_per_core=200).generate(16), config, "COUP"
+            SharedCounterWorkload(updates_per_core=200).generate_columnar(16), config, "COUP"
         )
         mesi = simulate(
             SharedCounterWorkload(
                 updates_per_core=200, update_style=UpdateStyle.ATOMIC
-            ).generate(16),
+            ).generate_columnar(16),
             config,
             "MESI",
         )
@@ -161,8 +173,8 @@ class TestCoupBeatsBaselinesUnderContention:
 
         config = small_test_config(4)
         workload = ReadOnlyWorkload(n_elements=64, reads_per_core=200)
-        mesi = simulate(workload.generate(4), config, "MESI")
-        coup = simulate(workload.generate(4), config, "COUP")
+        mesi = simulate(workload.generate_columnar(4), config, "MESI")
+        coup = simulate(workload.generate_columnar(4), config, "COUP")
         assert coup.run_cycles == pytest.approx(mesi.run_cycles, rel=1e-6)
 
 
@@ -170,14 +182,14 @@ class TestStatisticsPlumbing:
     def test_amat_breakdown_components_sum_to_amat(self):
         config = table1_config(16)
         workload = SharedCounterWorkload(updates_per_core=100, update_style=UpdateStyle.ATOMIC)
-        result = simulate(workload.generate(16), config, "MESI")
+        result = simulate(workload.generate_columnar(16), config, "MESI")
         breakdown = result.amat_breakdown()
         l1_latency = sum(s.latency.l1 for s in result.core_stats) / result.total_accesses
         assert sum(breakdown.values()) + l1_latency == pytest.approx(result.amat, rel=1e-6)
 
     def test_summary_fields(self):
         config = small_test_config(2)
-        workload = SharedCounterWorkload(updates_per_core=10).generate(2)
+        workload = SharedCounterWorkload(updates_per_core=10).generate_columnar(2)
         result = simulate(workload, config, "COUP")
         summary = result.summary()
         assert summary["protocol"] == "COUP"
@@ -189,9 +201,9 @@ class TestCoreSelectionTieBreak:
     """Equal core clocks must always resolve in ascending core-id order.
 
     Every heap entry is an explicit ``(clock, core_id)`` pair, so ties on
-    the clock break deterministically by core id — on both the object and
-    the columnar simulation path.  This pins the interleaving the sweep
-    engine's shared traces (and the golden results) depend on.
+    the clock break deterministically by core id.  This pins the
+    interleaving the sweep engine's shared traces (and the golden results)
+    depend on.
     """
 
     N_CORES = 5
@@ -208,7 +220,7 @@ class TestCoreSelectionTieBreak:
             ]
             for core_id in range(self.N_CORES)
         ]
-        return WorkloadTrace(name="tie-break", per_core=per_core)
+        return _packed(name="tie-break", per_core=per_core)
 
     def _recorded_order(self, trace) -> list:
         config = small_test_config(self.N_CORES)
@@ -231,12 +243,3 @@ class TestCoreSelectionTieBreak:
         order = self._recorded_order(self._symmetric_workload())
         expected = list(range(self.N_CORES)) * self.ACCESSES_PER_CORE
         assert order == expected
-
-    def test_columnar_path_interleaves_identically(self):
-        from repro.sim.columnar import ColumnarTrace
-
-        workload = self._symmetric_workload()
-        object_order = self._recorded_order(workload)
-        columnar_order = self._recorded_order(ColumnarTrace.from_workload(workload))
-        assert columnar_order == object_order
-        assert columnar_order == list(range(self.N_CORES)) * self.ACCESSES_PER_CORE

@@ -40,7 +40,7 @@ class TestWorkloadFramework:
 
     def test_generate_rejects_bad_core_count(self):
         with pytest.raises(ValueError):
-            HistogramWorkload(n_bins=4, n_items=10).generate(0)
+            HistogramWorkload(n_bins=4, n_items=10).generate_columnar(0)
 
     def test_stats_reports_comm_fraction(self):
         stats = HistogramWorkload(n_bins=16, n_items=200).stats(2)
@@ -57,7 +57,7 @@ class TestWorkloadFramework:
             assert issubclass(workload_cls, Workload)
 
     def test_params_recorded_in_trace(self):
-        trace = HistogramWorkload(n_bins=16, n_items=100, seed=3).generate(2)
+        trace = HistogramWorkload(n_bins=16, n_items=100, seed=3).generate_columnar(2)
         assert trace.params["n_bins"] == 16
         assert trace.params["seed"] == 3
         assert trace.params["update_style"] == "commutative"

@@ -14,16 +14,16 @@ from repro.workloads import BfsWorkload, PageRankWorkload, UpdateStyle
 class TestPageRank:
     def test_trace_has_phases_per_iteration(self):
         workload = PageRankWorkload(n_vertices=128, avg_degree=4, n_iterations=2)
-        trace = workload.generate(4)
+        trace = workload.generate_columnar(4)
         # Two phases (scatter, gather) per iteration.
         assert len(trace.phase_boundaries) == 4
 
     def test_updates_use_int64_add(self):
         workload = PageRankWorkload(n_vertices=64, avg_degree=3, n_iterations=1)
-        trace = workload.generate(2)
+        trace = workload.generate_columnar(2)
         ops = {
             a.op
-            for t in trace.per_core
+            for t in trace.to_workload().per_core
             for a in t
             if a.access_type is AccessType.COMMUTATIVE_UPDATE
         }
@@ -33,7 +33,7 @@ class TestPageRank:
         workload = PageRankWorkload(n_vertices=96, avg_degree=3, n_iterations=1)
         reference = workload.reference_result()
         assert reference, "power-law graph must have at least one edge"
-        result = simulate(workload.generate(4), small_test_config(4), "COUP")
+        result = simulate(workload.generate_columnar(4), small_test_config(4), "COUP")
         for address, expected in reference.items():
             assert result.final_values.get(address, 0) == expected
 
@@ -43,8 +43,8 @@ class TestPageRank:
     def test_atomic_variant(self):
         trace = PageRankWorkload(
             n_vertices=64, avg_degree=3, n_iterations=1, update_style=UpdateStyle.ATOMIC
-        ).generate(2)
-        types = {a.access_type for t in trace.per_core for a in t}
+        ).generate_columnar(2)
+        types = {a.access_type for t in trace.to_workload().per_core for a in t}
         assert AccessType.ATOMIC_RMW in types
 
     def test_invalid_parameters(self):
@@ -56,13 +56,13 @@ class TestBfs:
     def test_trace_reads_dominate_updates(self):
         """Each vertex is set once but its bit is checked once per in-edge."""
         workload = BfsWorkload(n_vertices=512, avg_degree=6, max_levels=6)
-        trace = workload.generate(4)
+        trace = workload.generate_columnar(4)
         loads = sum(
-            1 for t in trace.per_core for a in t if a.access_type is AccessType.LOAD
+            1 for t in trace.to_workload().per_core for a in t if a.access_type is AccessType.LOAD
         )
         updates = sum(
             1
-            for t in trace.per_core
+            for t in trace.to_workload().per_core
             for a in t
             if a.access_type is AccessType.COMMUTATIVE_UPDATE
         )
@@ -71,10 +71,10 @@ class TestBfs:
 
     def test_updates_use_or(self):
         workload = BfsWorkload(n_vertices=256, avg_degree=4, max_levels=4)
-        trace = workload.generate(2)
+        trace = workload.generate_columnar(2)
         ops = {
             a.op
-            for t in trace.per_core
+            for t in trace.to_workload().per_core
             for a in t
             if a.access_type is AccessType.COMMUTATIVE_UPDATE
         }
@@ -83,7 +83,7 @@ class TestBfs:
     def test_bitmap_reference_matches_simulation(self):
         workload = BfsWorkload(n_vertices=256, avg_degree=4, max_levels=4)
         reference = workload.reference_result()
-        result = simulate(workload.generate(4), small_test_config(4), "COUP")
+        result = simulate(workload.generate_columnar(4), small_test_config(4), "COUP")
         for address, expected in reference.items():
             assert result.final_values.get(address, 0) == expected
 
@@ -95,6 +95,6 @@ class TestBfs:
 
     def test_phase_boundaries_per_level(self):
         workload = BfsWorkload(n_vertices=256, avg_degree=4, max_levels=3)
-        trace = workload.generate(2)
+        trace = workload.generate_columnar(2)
         assert trace.phase_boundaries is not None
         assert 1 <= len(trace.phase_boundaries) <= 3

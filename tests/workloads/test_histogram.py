@@ -14,47 +14,47 @@ from repro.workloads import HistogramWorkload, UpdateStyle
 class TestSharedHistogram:
     def test_trace_shape(self):
         workload = HistogramWorkload(n_bins=16, n_items=1000)
-        trace = workload.generate(4)
+        trace = workload.generate_columnar(4)
         assert trace.n_cores == 4
         # One input load plus one update per item.
         assert trace.total_accesses == 2 * 1000
 
     def test_work_partitioned_across_cores(self):
         workload = HistogramWorkload(n_bins=16, n_items=1000)
-        trace = workload.generate(4)
-        sizes = [len(t) for t in trace.per_core]
+        trace = workload.generate_columnar(4)
+        sizes = [len(t) for t in trace.to_workload().per_core]
         assert sum(sizes) == 2000
         assert max(sizes) - min(sizes) <= 2
 
     def test_update_style_controls_access_type(self):
-        commutative = HistogramWorkload(n_bins=8, n_items=100).generate(2)
+        commutative = HistogramWorkload(n_bins=8, n_items=100).generate_columnar(2)
         atomic = HistogramWorkload(
             n_bins=8, n_items=100, update_style=UpdateStyle.ATOMIC
-        ).generate(2)
-        comm_types = {a.access_type for t in commutative.per_core for a in t}
-        atomic_types = {a.access_type for t in atomic.per_core for a in t}
+        ).generate_columnar(2)
+        comm_types = {a.access_type for t in commutative.to_workload().per_core for a in t}
+        atomic_types = {a.access_type for t in atomic.to_workload().per_core for a in t}
         assert AccessType.COMMUTATIVE_UPDATE in comm_types
         assert AccessType.ATOMIC_RMW not in comm_types
         assert AccessType.ATOMIC_RMW in atomic_types
 
     def test_deterministic_given_seed(self):
-        a = HistogramWorkload(n_bins=8, n_items=200, seed=7).generate(2)
-        b = HistogramWorkload(n_bins=8, n_items=200, seed=7).generate(2)
-        assert [x.address for t in a.per_core for x in t] == [
-            x.address for t in b.per_core for x in t
+        a = HistogramWorkload(n_bins=8, n_items=200, seed=7).generate_columnar(2)
+        b = HistogramWorkload(n_bins=8, n_items=200, seed=7).generate_columnar(2)
+        assert [x.address for t in a.to_workload().per_core for x in t] == [
+            x.address for t in b.to_workload().per_core for x in t
         ]
 
     def test_different_seed_changes_inputs(self):
-        a = HistogramWorkload(n_bins=64, n_items=200, seed=1).generate(2)
-        b = HistogramWorkload(n_bins=64, n_items=200, seed=2).generate(2)
-        assert [x.address for t in a.per_core for x in t] != [
-            x.address for t in b.per_core for x in t
+        a = HistogramWorkload(n_bins=64, n_items=200, seed=1).generate_columnar(2)
+        b = HistogramWorkload(n_bins=64, n_items=200, seed=2).generate_columnar(2)
+        assert [x.address for t in a.to_workload().per_core for x in t] != [
+            x.address for t in b.to_workload().per_core for x in t
         ]
 
     def test_reference_result_matches_simulation(self):
         workload = HistogramWorkload(n_bins=32, n_items=800)
         reference = workload.reference_result()
-        result = simulate(workload.generate(4), small_test_config(4), "COUP")
+        result = simulate(workload.generate_columnar(4), small_test_config(4), "COUP")
         for address, expected in reference.items():
             assert result.final_values.get(address, 0) == expected
         assert sum(reference.values()) == 800
@@ -79,7 +79,7 @@ class TestPrivatizedHistogram:
         # Reduction phase: for each owned bin, read every replica and write once.
         reduction_accesses = sum(
             len(t) - boundary
-            for t, boundary in zip(trace.per_core, trace.phase_boundaries[0])
+            for t, boundary in zip(trace.to_workload().per_core, trace.phase_boundaries[0])
         )
         assert reduction_accesses == 64 * 4 + 64
 
@@ -96,7 +96,7 @@ class TestPrivatizedHistogram:
     def test_privatized_updates_are_not_atomics_at_core_level(self):
         workload = HistogramWorkload(n_bins=16, n_items=100)
         trace = workload.generate_privatized(2, level=PrivatizationLevel.CORE)
-        types = {a.access_type for t in trace.per_core for a in t}
+        types = {a.access_type for t in trace.to_workload().per_core for a in t}
         assert AccessType.ATOMIC_RMW not in types
         assert AccessType.COMMUTATIVE_UPDATE not in types
 
@@ -105,7 +105,7 @@ class TestPrivatizedHistogram:
         trace = workload.generate_privatized(
             4, level=PrivatizationLevel.SOCKET, cores_per_socket=2
         )
-        types = {a.access_type for t in trace.per_core for a in t}
+        types = {a.access_type for t in trace.to_workload().per_core for a in t}
         assert AccessType.ATOMIC_RMW in types
 
     def test_runs_under_simulation(self):

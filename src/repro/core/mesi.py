@@ -526,7 +526,6 @@ class MesiProtocol(CoherenceProtocol):
         slot_stats: List[CoreStats],
         slot_dirty: List[bool],
         streak_cap: int,
-        max_retire: int,
     ) -> Tuple[int, int, int]:
         """Group-retire the pending accesses of many cores in one merged call.
 
@@ -551,9 +550,8 @@ class MesiProtocol(CoherenceProtocol):
         pending event becomes a bound no other slot may retire past, and the
         merge returns once that event is the earliest remaining, leaving it
         for the caller's exact one-at-a-time path.  The merge also returns
-        after ``max_retire`` retirements (so the caller's bail heuristic
-        keeps sampling wall-clock) or once ``streak_cap`` consecutive hits
-        retire (hit-dense stretches belong to the vectorized window path).
+        once ``streak_cap`` consecutive hits retire (hit-dense stretches
+        belong to the vectorized window path).
 
         ``slot_cursor`` and ``slot_clock`` are updated in place;
         ``slot_dirty[s]`` is set when slot ``s``'s private-cache membership
@@ -837,7 +835,7 @@ class MesiProtocol(CoherenceProtocol):
                     cursor += 1
                     retired += 1
                     streak += 1
-                    if retired >= max_retire or streak >= streak_cap:
+                    if streak >= streak_cap:
                         slot_cursor[s] = cursor
                         slot_clock[s] = clock
                         return retired, n_slow, n_parked
@@ -1126,10 +1124,6 @@ class MesiProtocol(CoherenceProtocol):
                             retired += 1
                             n_slow += 1
                             streak = 0
-                            if retired >= max_retire:
-                                slot_cursor[s] = cursor
-                                slot_clock[s] = clock
-                                return retired, n_slow, n_parked
                             if clock > nxt_clock or (
                                 clock == nxt_clock and cid > nxt_cid
                             ):
@@ -1257,10 +1251,6 @@ class MesiProtocol(CoherenceProtocol):
                 retired += 1
                 n_slow += 1
                 streak = 0
-                if retired >= max_retire:
-                    slot_cursor[s] = cursor
-                    slot_clock[s] = clock
-                    return retired, n_slow, n_parked
                 if clock > nxt_clock or (clock == nxt_clock and cid > nxt_cid):
                     slot_cursor[s] = cursor
                     slot_clock[s] = clock

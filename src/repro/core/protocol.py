@@ -285,15 +285,15 @@ class CoherenceProtocol(abc.ABC):
         Engines that set :attr:`SUPPORTS_SLOW_BATCH` implement
         ``resolve_slow_batch(slot_cores, slot_codes, slot_addrs, slot_gaps,
         slot_deltas, slot_cursor, slot_limit, slot_clock, slot_stats,
-        slot_dirty, streak_cap, max_retire)``: a k-way merge over one slot
-        per runnable core (raw column objects plus a cursor/limit/clock
-        triple each) that retires accesses in the **canonical order** — the
-        exact ascending ``(clock, core id)`` order of the scalar scheduler's
-        heap — until every live slot is *parked* on a conflict-shaped access
-        and the earliest parked event is next in that order, or a cap trips
-        (``streak_cap`` consecutive private hits, ``max_retire`` total).
-        Parking happens *before* any mutation for the parked access.  The
-        engine writes retired cursors/clocks back into the slot lists, sets
+        slot_dirty, streak_cap)``: a k-way merge over one slot per runnable
+        core (raw column objects plus a cursor/limit/clock triple each) that
+        retires accesses in the **canonical order** — the exact ascending
+        ``(clock, core id)`` order of the scalar scheduler's heap — until
+        every live slot is *parked* on a conflict-shaped access and the
+        earliest parked event is next in that order, or ``streak_cap``
+        consecutive private hits retire.  Parking happens *before* any
+        mutation for the parked access.  The engine writes retired
+        cursors/clocks back into the slot lists, sets
         ``slot_dirty[s]`` for any slot whose private-cache **membership**
         changed (fills, evictions, promotions — L1-hit LRU refreshes do not
         count), and returns ``(retired, n_slow, n_parked)``.  Every retired

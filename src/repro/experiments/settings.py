@@ -77,13 +77,6 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         consumer="repro.sim.kernel",
     ),
     EnvKnob(
-        name="REPRO_SLOW_BATCH",
-        default="auto",
-        domain="auto | off",
-        description="Group retirement of slow accesses: merged fleet or one-at-a-time.",
-        consumer="repro.sim.kernel",
-    ),
-    EnvKnob(
         name="REPRO_FAULT",
         default="",
         domain="fault-injection spec (kind[:param=value,...] joined by ';')",

@@ -66,17 +66,19 @@ The kernel handles engines that opt in via
 :attr:`CoherenceProtocol.SUPPORTS_BATCH_KERNEL`; everything else uses the
 scalar loop.  ``REPRO_SIM_KERNEL`` selects ``auto`` (default), ``batch``
 (always batch), or ``scalar`` (never batch).  In ``auto`` the kernel and the
-scalar loop alternate on identical state: the kernel measures itself per
-probation interval and bails out when a stretch of the workload is too
-slow-path-heavy to batch, and the scalar loop hands hot stretches (long
-global hit streaks) back — see ``MulticoreSimulator.run``.
+scalar loop alternate on identical state: every probation interval of slow
+accesses the kernel counts the hits it batched over the interval and bails
+out when there are fewer than :data:`BAIL_HITS_PER_SLOW` per slow access (a
+stretch too slow-path-heavy to batch), and the scalar loop hands hot
+stretches (long global hit streaks) back — see ``MulticoreSimulator.run``.
+Every dispatch decision is a function of counts alone, so which path runs
+is a pure function of (trace, configuration), on any host.
 ``REPRO_BATCH_SIZE`` bounds the classification window.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -137,20 +139,20 @@ MIN_WINDOW = 64
 _EXACT_CLOCK_LIMIT = float(1 << 44)
 
 #: Bail-out probation: every ``BAIL_INTERVAL`` slow accesses the kernel
-#: compares its measured wall-clock for the interval against a conservative
-#: estimate of what the scalar loop would have spent on the same work
-#: (``hits * BAIL_SCALAR_HIT_S + slow * BAIL_SCALAR_SLOW_S``).  Two
-#: consecutive intervals slower than the estimate (by ``BAIL_MARGIN``) hand
-#: the run off to the scalar loop.  Judging per interval — not cumulatively
-#: — lets workloads with a miss-heavy warm-up phase reach their hit-run
-#: regime instead of being condemned by their first thousand accesses; the
-#: scalar cost constants are deliberately rough (the decision margins are
-#: large: the kernel is either several times faster or clearly losing).
+#: counts the hits it batched over the interval and hands the run off to the
+#: scalar loop when there are fewer than ``BAIL_HITS_PER_SLOW`` per slow
+#: access.  Below that density the per-event cost of the boundary path
+#: (window re-extraction, mask repair, ordering every runnable core against
+#: the event) is not repaid by the vectorized hit-runs between events: a
+#: 16-core histogram under COUP passing checks at ~31 hits per slow access
+#: ran 2.5x slower than the scalar loop.  Judging per interval — not
+#: cumulatively — lets workloads with a miss-heavy warm-up phase reach their
+#: hit-run regime instead of being condemned by their first thousand
+#: accesses.  The threshold was calibrated once, on the paper grid at 16 and
+#: 64 cores, the hit-run streams and the experiment campaign, and is frozen:
+#: dispatch must not depend on the host, so nothing here reads a clock.
 BAIL_INTERVAL = 64
-BAIL_SCALAR_HIT_S = 1.2e-6
-BAIL_SCALAR_SLOW_S = 12e-6
-BAIL_MARGIN = 1.15
-BAIL_STRIKES = 2
+BAIL_HITS_PER_SLOW = 64
 
 #: The very first probation check of a stint fires after this many slow
 #: events instead of a full ``BAIL_INTERVAL``: a stint entering a
@@ -161,53 +163,36 @@ BAIL_STRIKES = 2
 #: judged on the short window.
 BAIL_PROBE = 16
 
-#: The scalar-cost constants above were calibrated on one machine; a host
-#: whose interpreter is uniformly slower runs both loops slower, which would
-#: otherwise make the kernel look like it is losing and bail spuriously.
-#: A tiny dict/int workout — the scalar loop's op mix — measured once per
-#: process rescales the estimate to the host (clamped to a sane range).
-_CALIBRATION_NOMINAL_S = 0.009
-_calibration_factor: Optional[float] = None
-
-
-def _interpreter_speed_factor() -> float:
-    global _calibration_factor
-    if _calibration_factor is None:
-        # repro-lint: disable=D103(calibration for the bail heuristic; feeds only kernel-vs-scalar dispatch whose outcomes are bit-identical)
-        start = time.perf_counter()
-        scratch: dict = {}
-        x = 0
-        for i in range(50_000):
-            scratch[i & 1023] = x
-            x += scratch.get(i & 511, 0) & 7
-        # repro-lint: disable=D103(calibration for the bail heuristic; feeds only kernel-vs-scalar dispatch whose outcomes are bit-identical)
-        elapsed = time.perf_counter() - start
-        _calibration_factor = min(8.0, max(0.25, elapsed / _CALIBRATION_NOMINAL_S))
-    return _calibration_factor
-#: An interval this much over the scalar estimate bails without a second
-#: strike — the kernel is clearly losing, and on short traces every wasted
-#: interval is a measurable fraction of the run.
-BAIL_HARD_MARGIN = 2.5
-
 _VALID_MODES = ("auto", "batch", "scalar")
 
 
 def kernel_mode() -> str:
-    """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset)."""
-    mode = os.environ.get("REPRO_SIM_KERNEL", "auto").strip().lower()
-    return mode if mode in _VALID_MODES else "auto"
+    """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset).
+
+    Raises ``ValueError`` for a value outside ``auto | batch | scalar``: a
+    typo must not silently select (and time) a different path.
+    """
+    raw = os.environ.get("REPRO_SIM_KERNEL", "")
+    mode = raw.strip().lower() or "auto"
+    if mode not in _VALID_MODES:
+        raise ValueError(
+            f"REPRO_SIM_KERNEL must be one of {' | '.join(_VALID_MODES)}, got {raw!r}"
+        )
+    return mode
 
 
 def batch_size() -> int:
-    """Classification-window bound from ``REPRO_BATCH_SIZE`` (min 1)."""
-    try:
-        size = int(os.environ.get("REPRO_BATCH_SIZE", DEFAULT_BATCH_SIZE))
-    except ValueError:
+    """Classification-window bound from ``REPRO_BATCH_SIZE`` (a positive int).
+
+    Raises ``ValueError`` for anything else.
+    """
+    raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
+    if not raw:
         return DEFAULT_BATCH_SIZE
-    return max(1, size)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"REPRO_BATCH_SIZE must be a positive int, got {raw!r}")
+    return int(raw)
 
-
-_SLOW_BATCH_MODES = ("auto", "off")
 
 #: Minimum number of *independence-classified* parked slow events (the best
 #: event plus at least one other) before the group-retirement merge is
@@ -220,10 +205,6 @@ FLEET_MIN_PARKED = 2
 #: pipeline, which retires them an order of magnitude faster than the
 #: merge's inline probe.
 FLEET_STREAK_BASE = 64
-
-#: Upper bound on one merge call, so the kernel's bail heuristic keeps
-#: sampling wall-clock at a bounded period.
-FLEET_MAX_RETIRE = 65536
 
 #: Slow events per participating slot a merge call must retire to count as
 #: productive.  An unproductive call (hit-dense or conflict-dense stretch)
@@ -241,18 +222,6 @@ FLEET_COOLDOWN_MAX = 4096
 #: (one reduction, one cross-op stretch) and backing off exponentially was
 #: measured to starve the merge on workloads that alternate regimes.
 FLEET_GATE_COOLDOWN = 8
-
-
-def slow_batch_mode() -> str:
-    """Group retirement from ``REPRO_SLOW_BATCH`` (``auto`` when unset).
-
-    ``auto`` retires independent slow accesses in groups via
-    :meth:`CoherenceProtocol.resolve_slow_batch` whenever the engine declares
-    support; ``off`` forces the exact one-at-a-time boundary path.  Both are
-    bit-identical — the switch exists for A/B timing and debugging.
-    """
-    mode = os.environ.get("REPRO_SLOW_BATCH", "auto").strip().lower()
-    return mode if mode in _SLOW_BATCH_MODES else "auto"
 
 
 def _dyadic(value: float, bits: int = 8) -> bool:
@@ -406,8 +375,6 @@ class BatchedKernel:
         "_bail_next",
         "_bail_hits_mark",
         "_bail_slow_mark",
-        "_bail_time_mark",
-        "_bail_strikes",
         "_obs",
         "_obs_timing",
     )
@@ -499,7 +466,7 @@ class BatchedKernel:
         # of the simulation — all runnable cores merged in exact
         # (clock, core_id) heap order — in one flattened call, with the
         # vectorized directory mirror gating entry (see _retire_fleet).
-        self._slow_batch = slow_batch_mode() != "off" and protocol.slow_batch_ready()
+        self._slow_batch = protocol.slow_batch_ready()
         if self._slow_batch:
             protocol.slow_batch_begin(
                 self._cpi, self._atomic_overhead, self._commutative_overhead
@@ -539,15 +506,12 @@ class BatchedKernel:
         self._touched: set = set()
         protocol.touched_cores = self._touched
 
-        # Bail-out accounting (per-interval wall-clock vs scalar estimate).
+        # Bail-out accounting (per-interval hit density, see BAIL_INTERVAL).
         self._slow_events = 0
         self._hits_batched = 0
         self._bail_next = BAIL_PROBE
         self._bail_hits_mark = 0
         self._bail_slow_mark = 0
-        # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-        self._bail_time_mark = time.perf_counter()
-        self._bail_strikes = 0
 
         # Telemetry (repro.obs).  Both handles are None when REPRO_OBS=off;
         # every instrumented site below guards on that and sits exclusively
@@ -1397,37 +1361,17 @@ class BatchedKernel:
                 # has even ruled would bail exactly the runs the merge wins.
                 # A failed gate or unproductive merge sets a cooldown, so the
                 # check resumes on the next iteration for hostile stretches.
-                # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-                now = time.perf_counter()
-                interval_hits = self._hits_batched - self._bail_hits_mark
                 # Group retirement advances _slow_events by whole groups, so
                 # the interval can hold more than BAIL_INTERVAL slow events;
-                # estimate from the actual count or the comparison is unfair
-                # to the kernel exactly when it is winning the most.
+                # the density is taken over the actual counts.
+                interval_hits = self._hits_batched - self._bail_hits_mark
                 interval_slow = self._slow_events - self._bail_slow_mark
-                scalar_estimate = _interpreter_speed_factor() * (
-                    interval_hits * BAIL_SCALAR_HIT_S
-                    + interval_slow * BAIL_SCALAR_SLOW_S
-                )
-                elapsed = now - self._bail_time_mark
-                if elapsed > scalar_estimate * BAIL_MARGIN:
-                    self._bail_strikes += 1
-                    if (
-                        self._bail_strikes >= BAIL_STRIKES
-                        or elapsed > scalar_estimate * BAIL_HARD_MARGIN
-                    ):
-                        if self._obs is not None:
-                            self._obs.inc(
-                                "kernel.bail.hard_margin"
-                                if elapsed > scalar_estimate * BAIL_HARD_MARGIN
-                                else "kernel.bail.strikes"
-                            )
-                        return self._handoff()
-                else:
-                    self._bail_strikes = 0
+                if interval_hits < BAIL_HITS_PER_SLOW * interval_slow:
+                    if self._obs is not None:
+                        self._obs.inc("kernel.bail.hit_density")
+                    return self._handoff()
                 self._bail_hits_mark = self._hits_batched
                 self._bail_slow_mark = self._slow_events
-                self._bail_time_mark = now
                 self._bail_next = self._slow_events + BAIL_INTERVAL
 
             for core in runnable:
@@ -1535,7 +1479,7 @@ class BatchedKernel:
         cores to the engine's ``resolve_slow_batch``, which replays the exact
         scalar ``(clock, core_id)`` heap order across them with a k-way merge
         — bit-identical by construction — and only returns at a true conflict
-        boundary (or a hit-streak / retirement cap).  Entry is gated by the
+        boundary (or a hit-streak cap).  Entry is gated by the
         :class:`DirectoryArray` mirror: the pending parked accesses of all
         slow-parked cores are classified with one vectorized
         ``SLOW_SHAPE_TABLE[mode, kind]`` lookup (plus the op-match rule for
@@ -1612,8 +1556,9 @@ class BatchedKernel:
         deltas_col = self.deltas_col
         touched = self._touched
         touched.clear()
-        # repro-lint: disable=D103(wall time only feeds the bail heuristic's kernel-vs-scalar dispatch; both paths are bit-identical)
-        fleet_start = time.perf_counter()
+        obs_timing = self._obs_timing
+        if obs_timing is not None:
+            _obs_t0 = obs_timing.clock()
         retired, n_slow, _n_parked = self._resolve_slow_batch(
             [core.core_id for core in slots],
             [codes_col[core.core_id] for core in slots],
@@ -1626,13 +1571,9 @@ class BatchedKernel:
             [core_stats[core.core_id] for core in slots],
             dirty,
             max(FLEET_STREAK_BASE, 4 * n_slots),
-            FLEET_MAX_RETIRE,
         )
-        obs_timing = self._obs_timing
         if obs_timing is not None:
-            obs_timing.observe(
-                "resolve_slow_batch", obs_timing.clock() - fleet_start
-            )
+            obs_timing.observe("resolve_slow_batch", obs_timing.clock() - _obs_t0)
         if retired == 0:
             # Every slot parked (or sat beyond the bound) before mutating
             # anything: nothing moved, so fall back without any repair.
@@ -1700,28 +1641,15 @@ class BatchedKernel:
                 obs_reg.inc("kernel.merge.accept.unproductive")
                 obs_reg.inc("kernel.merge.retired", retired)
         else:
+            # A productive call vindicates the probation interval: the
+            # density check judges only the boundary work around merges.
             self._fleet_backoff = FLEET_COOLDOWN
+            self._bail_hits_mark = self._hits_batched
+            self._bail_slow_mark = self._slow_events
+            self._bail_next = self._slow_events + BAIL_INTERVAL
             if obs_reg is not None:
                 obs_reg.inc("kernel.merge.accept.productive")
                 obs_reg.inc("kernel.merge.retired", retired)
-
-        # Bail fairness: the bail heuristic's per-interval scalar estimate
-        # was calibrated for the boundary path; a merge call can retire tens
-        # of thousands of accesses in one interval, so judge it directly.
-        # When the call measurably beat what the scalar loop would have
-        # spent on the same work, vindicate the interval marks so the bail
-        # comparison only ever judges the surrounding boundary work.
-        # repro-lint: disable=D103(wall time only feeds the bail heuristic's kernel-vs-scalar dispatch; both paths are bit-identical)
-        fleet_elapsed = time.perf_counter() - fleet_start
-        scalar_estimate = _interpreter_speed_factor() * (
-            (retired - n_slow) * BAIL_SCALAR_HIT_S + n_slow * BAIL_SCALAR_SLOW_S
-        )
-        if fleet_elapsed < scalar_estimate:
-            self._bail_hits_mark = self._hits_batched
-            self._bail_slow_mark = self._slow_events
-            # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-            self._bail_time_mark = time.perf_counter()
-            self._bail_next = self._slow_events + BAIL_INTERVAL
         return True
 
     def _handoff(self) -> Tuple:

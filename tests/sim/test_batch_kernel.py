@@ -12,6 +12,8 @@ image), per the ISSUE 5 acceptance criteria.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import time
 
 import pytest
 
@@ -21,14 +23,18 @@ from repro.hierarchy.cache import (
     TagArray,
     UOP_NONE,
 )
+from repro.sim import table1_config
 from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config
+import repro.sim.kernel as kernel_module
 from repro.sim.kernel import BatchedKernel, batch_size, kernel_mode
 from repro.sim.simulator import MulticoreSimulator, make_protocol, simulate
 from repro.workloads.base import UpdateStyle
 from repro.workloads.histogram import HistogramWorkload
+from repro.workloads.pagerank import PageRankWorkload
 from repro.workloads.synthetic import (
     MultiCounterWorkload,
+    ReadOnlyWorkload,
     ScalarReductionWorkload,
     SharedCounterWorkload,
 )
@@ -149,25 +155,24 @@ def test_non_dyadic_config_uses_fold_pipeline(monkeypatch):
 
 
 def test_kernel_bails_to_scalar_and_results_match(monkeypatch):
-    """A hand-forced bail-out mid-run resumes the scalar loop exactly."""
+    """A forced bail-out mid-run resumes the scalar loop exactly."""
     trace = _columnar(WORKLOADS["hist"])
     config = small_test_config(N_CORES)
     monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
     reference = simulate(trace, config, "MESI", track_values=True)
 
-    # Group retirement off: a productive merge call vindicates the bail
-    # interval (by design), which would defeat the hand-forced failure below;
-    # this test exercises the boundary path's handoff machinery.
-    monkeypatch.setenv("REPRO_SLOW_BATCH", "off")
+    # No interval can reach this hit density, so the first probation check
+    # (after BAIL_PROBE slow events) bails.
+    monkeypatch.setattr(kernel_module, "BAIL_HITS_PER_SLOW", 10**9)
     engine = make_protocol("MESI", config, track_values=True)
     simulator = MulticoreSimulator(config, engine, track_values=True)
     kernel = BatchedKernel(simulator, trace)
-    # Make the very first probation check fail unconditionally.
-    kernel._bail_next = 1
-    kernel._bail_time_mark = -1e9
-    kernel._bail_strikes = 10**9
+    # Group retirement off: this test exercises the boundary path's
+    # one-at-a-time handoff machinery.
+    kernel._slow_batch = False
     handoff = kernel.run()
     assert handoff is not None, "kernel did not bail"
+    assert kernel._slow_events == kernel_module.BAIL_PROBE
     result = simulator._run_columnar_scalar(trace, resume=handoff)
     assert result.to_jsonable() == reference.to_jsonable()
 
@@ -184,31 +189,107 @@ def test_scalar_reenters_kernel_on_hit_streak(monkeypatch):
     reference = simulate(trace, config, "COUP", track_values=True)
 
     # Shrink the streak threshold so re-entry definitely triggers, and make
-    # the kernel bail instantly so the run alternates several times.
+    # every probation check (one per slow event) bail.
     monkeypatch.setattr(sim_module, "REENTER_STREAK", 64)
     monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-    import repro.sim.kernel as kernel_module
-
-    monkeypatch.setattr(kernel_module, "BAIL_INTERVAL", 4)
-    monkeypatch.setattr(kernel_module, "BAIL_SCALAR_HIT_S", 0.0)
-    monkeypatch.setattr(kernel_module, "BAIL_SCALAR_SLOW_S", 0.0)
+    monkeypatch.setattr(kernel_module, "BAIL_PROBE", 1)
+    monkeypatch.setattr(kernel_module, "BAIL_INTERVAL", 1)
+    monkeypatch.setattr(kernel_module, "BAIL_HITS_PER_SLOW", 10**9)
+    log = _record_dispatch(monkeypatch)
     result = simulate(trace, config, "COUP", track_values=True)
     assert result.to_jsonable() == reference.to_jsonable()
+    # The kernel bails once the four first-update slow events retire
+    # (probation waits for the pending merge), and the scalar loop hands
+    # the all-hit remainder back.
+    assert log == ["enter", (4, 64), "scalar", "enter"]
+
+
+def _record_dispatch(monkeypatch) -> list:
+    """Log every kernel stint (``"enter"``), scalar stint (``"scalar"``) and
+    handoff (``(slow_events, hits_batched)``) of the simulations that follow."""
+    log: list = []
+    kernel_init = BatchedKernel.__init__
+    kernel_handoff = BatchedKernel._handoff
+    scalar_loop = MulticoreSimulator._run_columnar_scalar
+
+    def init(self, *args, **kwargs):
+        log.append("enter")
+        kernel_init(self, *args, **kwargs)
+
+    def handoff(self):
+        log.append((self._slow_events, self._hits_batched))
+        return kernel_handoff(self)
+
+    def scalar(self, *args, **kwargs):
+        log.append("scalar")
+        return scalar_loop(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedKernel, "__init__", init)
+    monkeypatch.setattr(BatchedKernel, "_handoff", handoff)
+    monkeypatch.setattr(MulticoreSimulator, "_run_columnar_scalar", scalar)
+    return log
+
+
+#: Pinned auto-mode dispatch of two 16-core Table 1 points: kernel stints,
+#: scalar stints and the (slow events, batched hits) count at each handoff.
+DISPATCH_POINTS = {
+    "pgrank/MESI": (
+        lambda: PageRankWorkload(
+            n_vertices=512, avg_degree=6, n_iterations=2,
+            update_style=UpdateStyle.ATOMIC, seed=0,
+        ),
+        "MESI",
+        ["enter", (3400, 3510), "scalar"],
+    ),
+    "read-only/MESI": (
+        lambda: ReadOnlyWorkload(n_elements=256, reads_per_core=2000, seed=0),
+        "MESI",
+        ["enter"],
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(DISPATCH_POINTS))
+def test_dispatch_is_a_function_of_trace_and_config(point, monkeypatch):
+    """Which path runs, and where it switches, never depends on the host.
+
+    The sequence is pinned, then replayed with a host clock that jumps a
+    full second on every read: a dispatch rule that sampled wall-clock would
+    bail at its first probation check.
+    """
+    factory, protocol, expected = DISPATCH_POINTS[point]
+    trace = factory().generate_columnar(16)
+    config = table1_config(16)
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
+    log = _record_dispatch(monkeypatch)
+    reference = simulate(trace, config, protocol).to_jsonable()
+    assert log == expected
+
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    log.clear()
+    assert simulate(trace, config, protocol).to_jsonable() == reference
+    assert log == expected
 
 
 def test_env_knob_parsing(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_KERNEL", "BATCH")
     assert kernel_mode() == "batch"
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
-    assert kernel_mode() == "auto"
     monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
     assert kernel_mode() == "auto"
+    # A typo must not silently select (and time) a different path.
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "scaler")
+    with pytest.raises(ValueError, match="REPRO_SIM_KERNEL.*auto \\| batch \\| scalar"):
+        kernel_mode()
     monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
     assert batch_size() == 7
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
-    assert batch_size() == 1
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "not-a-number")
-    assert batch_size() > 1
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+    assert batch_size() == 4096
+    for bad in ("0", "-3", "not-a-number"):
+        monkeypatch.setenv("REPRO_BATCH_SIZE", bad)
+        with pytest.raises(ValueError, match="REPRO_BATCH_SIZE.*positive int"):
+            batch_size()
 
 
 class TestTagArray:

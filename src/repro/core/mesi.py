@@ -12,17 +12,21 @@ MESI and MEUSI and compared directly.
 Contention is modelled with per-line serialization at the directory: a
 transaction that transfers ownership or invalidates sharers occupies the
 line's home until it completes, so concurrent atomics to a hot line queue up.
+
+Every MESI-family transaction shape — GetS (R1-R3), GetX/upgrade (W1-W3) and
+COUP's GetU grants (U1-U5, used by MEUSI) — exists once, in the functions
+:func:`_transaction_shapes` builds per engine.  The scalar ``resolve_slow``
+and the group-retirement merge ``resolve_slow_batch`` both call them, so the
+two execution paths cannot drift apart.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.commutative import CommutativeOp
 from repro.core.directory import DirectoryEntry
 from repro.core.protocol import (
     SHAPE_CONFLICT,
@@ -37,7 +41,13 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, LatencyBreakdown
 
 #: Code-table twins used by the group-retirement loop (Python-int indexed).
-from repro.sim.columnar import CODE_KIND, CODE_OP, CODE_VALUE_KIND, decode_value
+from repro.sim.columnar import (
+    CODE_KIND,
+    CODE_OP,
+    CODE_VALUE_KIND,
+    KIND_OF_TYPE,
+    decode_value,
+)
 
 _KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
 
@@ -45,15 +55,446 @@ _KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
 #: the group-retirement merge; bounds peak list memory at a few KiB per core.
 _FLEET_CHUNK = 512
 
+#: COUP's update-only state.  The MESI-family fast path, merge and GetU
+#: shapes below service MEUSI's U lines via inheritance; plain MESI and RMO
+#: never enter it.
+# repro-lint: disable=P203(shared MESI-family machinery services MEUSI U lines via inheritance; plain MESI never reaches this state)
+_UPDATE = StableState.UPDATE
 
-@dataclass
-class TransactionCost:
-    """Latency components of one directory transaction."""
 
-    breakdown: LatencyBreakdown
-    #: Cycles the line's home stays busy after the request reaches it.
-    home_occupancy: float
-    invalidations: int = 0
+def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...]:
+    """Build ``engine``'s MESI-family transactions.
+
+    Returns ``(transaction, ensure_shared_levels, invalidate_sharers)``.  The
+    functions close over the engine's hoisted tables, caches and directory,
+    never over the engine itself: each takes it as its first argument
+    ``eng`` and reads through it only what may change while it lives — the
+    off-chip latency hooks (``_l4_rt``, ``_l4_control_rt``, ``_chip_rt``,
+    rebindable after construction), ``current_time``, ``touched_cores``,
+    the aggregate statistics, and the eviction and delta-buffer methods a
+    subclass overrides.  A closure over the engine would be a reference
+    cycle that keeps every finished engine alive until a full garbage
+    collection.  The traffic counters are read through the interconnect at
+    call time because ``CacheHierarchy.reset_statistics`` replaces them.
+    """
+    chip_of = engine._chip_of_core
+    core_states = engine.core_states
+    directory = engine.directory
+    dir_entries = directory._entries
+    grant_shared = directory.grant_shared
+    grant_update_only = directory.grant_update_only
+    remove_sharer = directory.remove_sharer
+    l3_caches = engine._l3_caches
+    l4_caches = engine._l4_caches
+    memory = engine._memory
+    fill_victim = engine.hierarchy.private_fill_victim
+    private_invalidate = engine.hierarchy.private_invalidate
+    interconnect = engine.interconnect
+    size_of = interconnect._size_of
+    l_gs = MessageType.GET_SHARED.label
+    l_gx = MessageType.GET_EXCLUSIVE.label
+    l_gu = MessageType.GET_UPDATE.label
+    l_dr = MessageType.DATA_RESPONSE.label
+    l_dw = MessageType.DATA_WRITEBACK.label
+    l_dg = MessageType.DOWNGRADE.label
+    l_inv = MessageType.INVALIDATE.label
+    l_ack = MessageType.ACK.label
+    l_gnd = MessageType.GRANT_NO_DATA.label
+    s_gs, s_gx, s_gu, s_dr, s_dw, s_dg, s_inv, s_ack, s_gnd = (
+        size_of[label]
+        for label in (l_gs, l_gx, l_gu, l_dr, l_dw, l_dg, l_inv, l_ack, l_gnd)
+    )
+    onchip = engine._onchip_hop
+    l2_lat = engine._l2_latency
+    l3_lat = engine._l3_latency
+    l4_lat = engine._l4_latency
+    n_l4 = engine._n_l4_chips
+    line_bytes = engine.config.line_bytes
+    light = engine.LIGHT_OCCUPANCY
+    per_sharer = engine.PER_SHARER_INVAL_CYCLES
+    comm_local = engine.HOT_COMMUTATIVE == "local"
+    track = engine.track_values
+    image = engine.memory_image
+    MOD = StableState.MODIFIED
+    EXC = StableState.EXCLUSIVE
+    SHR = StableState.SHARED
+    UPD = _UPDATE
+    M_EXCLUSIVE = LineMode.EXCLUSIVE
+    M_READ_ONLY = LineMode.READ_ONLY
+    M_UNCACHED = LineMode.UNCACHED
+    M_UPDATE_ONLY = LineMode.UPDATE_ONLY
+
+    def ensure_shared_levels(
+        eng: Any, chip: int, line_addr: int, now: float,
+        b3: float, b4: float, b5: float, b7: float,
+    ) -> Tuple[float, float, float, float]:
+        """Charge L3/L4/memory latency for locating the line's data.
+
+        The requester always consults its chip's L3 (and directory slice).
+        If the line is not on-chip it travels to the home L4 chip; if the L4
+        also misses, main memory supplies the data.  The touched levels are
+        filled so later accesses from this chip hit closer to the core.
+        Takes and returns the ``(l3, offchip_network, l4, main_memory)``
+        latency components.
+        """
+        b3 += onchip + l3_lat
+        l3 = l3_caches[chip]
+        if l3.lookup(line_addr) is not None:
+            return b3, b4, b5, b7
+        home_l4 = line_addr % n_l4
+        b4 += eng._l4_rt(chip, home_l4, line_addr, now)
+        b5 += l4_lat
+        traffic = interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        traffic.off_chip_bytes += s_gs + s_dr
+        mbt[l_gs] += 1
+        bbt[l_gs] += s_gs
+        mbt[l_dr] += 1
+        bbt[l_dr] += s_dr
+        l4 = l4_caches[home_l4]
+        if l4.lookup(line_addr) is None:
+            b7 += memory.access(home_l4, now, line_bytes).latency
+            l4.insert(line_addr)
+        l3.insert(line_addr)
+        return b3, b4, b5, b7
+
+    def invalidate_sharers(
+        eng: Any, requester: int, line_addr: int, entry: DirectoryEntry,
+        now: float, b6: float,
+    ) -> Tuple[float, int]:
+        """Invalidate every sharer of ``entry`` except ``requester``.
+
+        The global directory sends invalidations to every chip with sharers
+        in parallel, each chip invalidates its local caches through its L3,
+        and acks flow back: cross-chip invalidations cost the slowest
+        off-chip control round trip, chip-local ones an on-chip round trip,
+        plus a small per-sharer serialization term.  Returns the
+        ``l4_invalidations`` component with that delay added and the number
+        of caches invalidated.
+        """
+        victims = sorted(entry.sharers - {requester})
+        if not victims:
+            return b6, 0
+        chip = chip_of[requester]
+        victim_chips = {chip_of[core] for core in victims}
+        offchip_chips = {c for c in victim_chips if c != chip}
+        inval_latency = 0.0
+        if offchip_chips:
+            home_l4 = line_addr % n_l4
+            control_rt = eng._l4_control_rt
+            inval_latency += max(
+                control_rt(c, home_l4, line_addr, now) for c in offchip_chips
+            )
+        inval_latency += onchip * 2
+        inval_latency += l2_lat
+        inval_latency += per_sharer * (len(victims) - 1)
+        b6 += inval_latency
+        traffic = interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        touched = eng.touched_cores
+        for core in victims:
+            states = core_states[core]
+            size = s_inv
+            if states.get(line_addr) is MOD:
+                size += s_dw
+                mbt[l_dw] += 1
+                bbt[l_dw] += s_dw
+            else:
+                size += s_ack
+                mbt[l_ack] += 1
+                bbt[l_ack] += s_ack
+            if chip_of[core] != chip:
+                traffic.off_chip_bytes += size
+            else:
+                traffic.on_chip_bytes += size
+            mbt[l_inv] += 1
+            bbt[l_inv] += s_inv
+            private_invalidate(core, line_addr)
+            if touched is not None:
+                touched.add((core, line_addr))
+            states.pop(line_addr, None)
+            remove_sharer(line_addr, core)
+        eng.stat_invalidations += len(victims)
+        return b6, len(victims)
+
+    def transaction(
+        eng: Any, core_id: int, kind: int, op: Any, address: int,
+        line_addr: int, state: Optional[StableState], value: Any, now: float,
+    ) -> Tuple[float, float, float, float, float, float, int]:
+        """Run one GetS / GetX / GetU transaction for ``core_id``.
+
+        ``kind`` is the access's ``KIND_*`` slot: loads issue GetS, stores
+        and atomics GetX, and commutative or remote updates GetU under
+        MEUSI (``HOT_COMMUTATIVE == "local"``) or GetX otherwise.  ``state``
+        is the core's stable state before the access (``None`` when
+        untracked), ``value`` the operand (unused for loads and when values
+        are untracked).  The caller has already probed the private caches
+        exactly once, and for MEUSI has routed cross-op updates (U6) and
+        demands on update-only lines to their reduction paths.  Returns the
+        ``(l3, offchip_network, l4, l4_invalidations, main_memory,
+        serialization)`` latency components and the number of caches
+        invalidated or downgraded on the critical path; the caller adds the
+        fixed L1 + L2 lookup.
+        """
+        eng.current_time = now
+        chip = chip_of[core_id]
+        states = core_states[core_id]
+        touched = eng.touched_cores
+        traffic = interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        b3 = 0.0  # l3
+        b4 = 0.0  # offchip_network
+        b5 = 0.0  # l4
+        b6 = 0.0  # l4_invalidations
+        b7 = 0.0  # main_memory
+        b8 = 0.0  # serialization
+        invalidations = 0
+        entry = dir_entries.get(line_addr)
+        if entry is None:
+            entry = DirectoryEntry(line_addr=line_addr)
+            dir_entries[line_addr] = entry
+        mode = entry.mode
+
+        if kind >= 3 and comm_local:
+            # ---------------------------- GetU (U1-U5; U6 handled by MEUSI) --
+            traffic.on_chip_bytes += s_gu
+            mbt[l_gu] += 1
+            bbt[l_gu] += s_gu
+            eng.stat_update_grants += 1
+            if mode is M_EXCLUSIVE and next(iter(entry.sharers)) == core_id:
+                # U2: our own copy absorbs the update in M.
+                if touched is not None:
+                    touched.add((core_id, line_addr))
+                states[line_addr] = MOD
+                if track and value is not None:
+                    image[address] = op.apply(image.get(address, op.identity), value)
+                return b3, b4, b5, b6, b7, b8, invalidations
+            if mode is M_EXCLUSIVE:
+                # U3: downgrade the owner M->U; both become updaters.
+                owner = next(iter(entry.sharers))
+                owner_chip = chip_of[owner]
+                lat = l2_lat + 2 * onchip
+                if owner_chip != chip:
+                    transfer = eng._chip_rt(chip, owner_chip, now)
+                    lat += transfer
+                    b4 += transfer
+                    b5 += l4_lat
+                    traffic.off_chip_bytes += s_dg + s_dw
+                else:
+                    traffic.on_chip_bytes += s_dg + s_dw
+                b6 += lat
+                mbt[l_dg] += 1
+                bbt[l_dg] += s_dg
+                mbt[l_dw] += 1
+                bbt[l_dw] += s_dw
+                eng.stat_downgrades += 1
+                # The owner's data is written back to the shared cache; the
+                # owner keeps an update-only copy initialised to the identity.
+                l3_caches[owner_chip].insert(line_addr)
+                occupancy = lat
+            elif mode is M_READ_ONLY:
+                # U4: invalidate all readers, then grant update-only.
+                b3, b4, b5, b7 = ensure_shared_levels(eng, chip, line_addr, now, b3, b4, b5, b7)
+                b6, invalidations = invalidate_sharers(eng, core_id, line_addr, entry, now, b6)
+                occupancy = b6 + light
+            else:
+                # U1 (unshared) / U5 (same-op update-only join).
+                b3, b4, b5, b7 = ensure_shared_levels(eng, chip, line_addr, now, b3, b4, b5, b7)
+                occupancy = light
+            start = entry.busy_until
+            if now > start:
+                start = now
+            wait = start - now
+            if wait > 0:
+                b8 += wait
+            entry.busy_until = start + occupancy
+            if mode is M_UNCACHED:
+                # U1: unshared, grant M directly (the E-like optimisation).
+                entry.mode = M_EXCLUSIVE
+                entry.sharers = {core_id}
+                entry.op = None
+                if touched is not None:
+                    touched.add((core_id, line_addr))
+                states[line_addr] = MOD
+                victim = fill_victim(core_id, line_addr)
+                if victim is not None:
+                    eng._handle_private_eviction(core_id, victim)
+                traffic.on_chip_bytes += s_dr
+                mbt[l_dr] += 1
+                bbt[l_dr] += s_dr
+                if track and value is not None:
+                    image[address] = op.apply(image.get(address, op.identity), value)
+                return b3, b4, b5, b6, b7, b8, invalidations
+            if mode is M_EXCLUSIVE:
+                entry.mode = M_UPDATE_ONLY
+                entry.sharers = {owner, core_id}
+                entry.op = op
+                if touched is not None:
+                    touched.add((owner, line_addr))
+                core_states[owner][line_addr] = UPD
+            elif mode is M_READ_ONLY:
+                entry.mode = M_UPDATE_ONLY
+                entry.sharers = {core_id}
+                entry.op = op
+            else:
+                grant_update_only(line_addr, core_id, op)
+            if touched is not None:
+                touched.add((core_id, line_addr))
+            states[line_addr] = UPD
+            if mode is M_EXCLUSIVE:
+                eng._buffer_for(owner, line_addr, op)
+            victim = fill_victim(core_id, line_addr)
+            if victim is not None:
+                eng._handle_private_eviction(core_id, victim)
+            traffic.on_chip_bytes += s_gnd
+            mbt[l_gnd] += 1
+            bbt[l_gnd] += s_gnd
+            if track and value is not None:
+                eng._buffer_for(core_id, line_addr, op).update(address, value)
+            return b3, b4, b5, b6, b7, b8, invalidations
+
+        if kind == 0:
+            # --------------------------------------- GetS (R1 / R2 / R3) ----
+            traffic.on_chip_bytes += s_gs
+            mbt[l_gs] += 1
+            bbt[l_gs] += s_gs
+            if mode is M_EXCLUSIVE:
+                # R1: fetch the data from the owner, downgrading it to S.
+                owner = next(iter(entry.sharers))
+                owner_chip = chip_of[owner]
+                b3 += onchip + l3_lat
+                lat = l2_lat + 2 * onchip
+                if owner_chip != chip:
+                    transfer = eng._chip_rt(chip, owner_chip, now)
+                    lat += transfer
+                    b4 += transfer
+                    b5 += l4_lat
+                    traffic.off_chip_bytes += s_dg + s_dw
+                else:
+                    traffic.on_chip_bytes += s_dg + s_dw
+                b6 += lat
+                mbt[l_dg] += 1
+                bbt[l_dg] += s_dg
+                mbt[l_dw] += 1
+                bbt[l_dw] += s_dw
+                eng.stat_downgrades += 1
+                l3_caches[chip].insert(line_addr)
+                occupancy = lat
+                entry.mode = M_READ_ONLY
+                entry.sharers = {owner, core_id}
+                entry.op = None
+                if touched is not None:
+                    touched.add((owner, line_addr))
+                core_states[owner][line_addr] = SHR
+                invalidations = 1
+                grant = SHR
+            else:
+                b3, b4, b5, b7 = ensure_shared_levels(eng, chip, line_addr, now, b3, b4, b5, b7)
+                occupancy = light
+                if mode is M_UNCACHED:
+                    # R2: an unshared read is granted Exclusive.
+                    entry.mode = M_EXCLUSIVE
+                    entry.sharers = {core_id}
+                    entry.op = None
+                    grant = EXC
+                else:
+                    # R3: read-only join.
+                    grant_shared(line_addr, core_id)
+                    grant = SHR
+            start = entry.busy_until
+            if now > start:
+                start = now
+            wait = start - now
+            if wait > 0:
+                b8 += wait
+            entry.busy_until = start + occupancy
+            if touched is not None:
+                touched.add((core_id, line_addr))
+            states[line_addr] = grant
+            victim = fill_victim(core_id, line_addr)
+            if victim is not None:
+                eng._handle_private_eviction(core_id, victim)
+            traffic.on_chip_bytes += s_dr
+            mbt[l_dr] += 1
+            bbt[l_dr] += s_dr
+            return b3, b4, b5, b6, b7, b8, invalidations
+
+        # ------------------------------ GetX / Upgrade (W1 / W2 / W3) -------
+        traffic.on_chip_bytes += s_gx
+        mbt[l_gx] += 1
+        bbt[l_gx] += s_gx
+        if mode is M_EXCLUSIVE and next(iter(entry.sharers)) != core_id:
+            # W1: ownership transfer from the current owner.
+            owner = next(iter(entry.sharers))
+            owner_chip = chip_of[owner]
+            b3 += onchip + l3_lat
+            lat = l2_lat + 2 * onchip
+            if owner_chip != chip:
+                transfer = eng._chip_rt(chip, owner_chip, now)
+                lat += transfer
+                b4 += transfer
+                b5 += l4_lat
+                traffic.off_chip_bytes += s_dg + s_dw
+            else:
+                traffic.on_chip_bytes += s_dg + s_dw
+            b6 += lat
+            mbt[l_dg] += 1
+            bbt[l_dg] += s_dg
+            mbt[l_dw] += 1
+            bbt[l_dw] += s_dw
+            eng.stat_downgrades += 1
+            l3_caches[chip].insert(line_addr)
+            occupancy = lat
+            private_invalidate(owner, line_addr)
+            if touched is not None:
+                touched.add((owner, line_addr))
+            core_states[owner].pop(line_addr, None)
+            eng.stat_invalidations += 1
+            invalidations = 1
+        elif mode is M_READ_ONLY and (
+            len(entry.sharers) > 1 or (entry.sharers and core_id not in entry.sharers)
+        ):
+            # W2: invalidate every reader, then take ownership.
+            b3, b4, b5, b7 = ensure_shared_levels(eng, chip, line_addr, now, b3, b4, b5, b7)
+            b6, invalidations = invalidate_sharers(eng, core_id, line_addr, entry, now, b6)
+            occupancy = b6 + light
+        else:
+            # W3: upgrade in place, or fetch-and-own an untracked line.
+            if state is None:
+                b3, b4, b5, b7 = ensure_shared_levels(eng, chip, line_addr, now, b3, b4, b5, b7)
+            occupancy = b4 + b5
+            if occupancy < light:
+                occupancy = light
+        start = entry.busy_until
+        if now > start:
+            start = now
+        wait = start - now
+        if wait > 0:
+            b8 += wait
+        entry.busy_until = start + occupancy
+        entry.mode = M_EXCLUSIVE
+        entry.sharers = {core_id}
+        entry.op = None
+        if touched is not None:
+            touched.add((core_id, line_addr))
+        states[line_addr] = MOD
+        victim = fill_victim(core_id, line_addr)
+        if victim is not None:
+            eng._handle_private_eviction(core_id, victim)
+        traffic.on_chip_bytes += s_dr
+        mbt[l_dr] += 1
+        bbt[l_dr] += s_dr
+        if track and value is not None:
+            if kind == 1:
+                image[address] = value
+            elif op is not None:
+                image[address] = op.apply(image.get(address, op.identity), value)
+        return b3, b4, b5, b6, b7, b8, invalidations
+
+    return transaction, ensure_shared_levels, invalidate_sharers
 
 
 class MesiProtocol(CoherenceProtocol):
@@ -67,14 +508,15 @@ class MesiProtocol(CoherenceProtocol):
     SUPPORTS_BATCH_KERNEL = True
     HOT_COMMUTATIVE = "atomic"
     #: The group-retirement stage may retire stretches of this engine's slow
-    #: accesses through :meth:`resolve_slow_batch` (flattened transactions,
-    #: bit-identical to the scalar path).
+    #: accesses through :meth:`resolve_slow_batch` (the same transaction
+    #: shapes as ``resolve_slow``, replayed in the scalar heap order).
     SUPPORTS_SLOW_BATCH = True
 
     #: Independence classification (mode x kind).  MESI folds commutative and
-    #: remote updates into atomic RMWs, and every stable-mode transaction has
-    #: a flattened twin, so all reachable pairs are fast; the update-only row
-    #: is unreachable under plain MESI and marked conflict defensively.
+    #: remote updates into atomic RMWs, and the merge retires every
+    #: stable-mode transaction shape, so all reachable pairs are fast; the
+    #: update-only row is unreachable under plain MESI and marked conflict
+    #: defensively.
     SLOW_SHAPE_TABLE = np.array(
         [
             [SHAPE_FAST] * 5,      # UNCACHED: cold fills / grants
@@ -90,10 +532,8 @@ class MesiProtocol(CoherenceProtocol):
     #: Directory bookkeeping occupancy for transactions with no remote action.
     LIGHT_OCCUPANCY = 2.0
 
-    #: Hoisted constants for :meth:`resolve_slow_batch` (built on first use).
-    _sb_consts: Optional[Tuple[Any, Any, Any, int]] = None
     #: Core-model constants, installed by the kernel via :meth:`slow_batch_begin`.
-    _sb_core_params: Tuple[float, float, float] = (1.0, 0.0, 0.0)
+    _batch_core_params: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         super().__init__(config, track_values=track_values)
@@ -101,6 +541,13 @@ class MesiProtocol(CoherenceProtocol):
         self.core_states: List[Dict[int, StableState]] = [
             {} for _ in range(config.n_cores)
         ]
+        # The transaction shapes take the engine as their first argument
+        # (see _transaction_shapes): ``self._transaction(self, ...)``.
+        (
+            self._transaction,
+            self._ensure_shared_levels,
+            self._invalidate_sharers,
+        ) = _transaction_shapes(self)
 
     # ------------------------------------------------------------------ helpers
 
@@ -108,9 +555,11 @@ class MesiProtocol(CoherenceProtocol):
         return self.core_states[core_id].get(line_addr, StableState.INVALID)
 
     def _set_state(self, core_id: int, line_addr: int, state: StableState) -> None:
-        # Every slow-path stable-state mutation funnels through here (the
-        # simulator's inline hit paths write ``core_states`` directly, but
-        # only for E->M upgrades, which no batch classification depends on).
+        # Slow-path stable-state mutations outside the transaction shapes
+        # funnel through here; the shapes write ``core_states`` directly and
+        # report touched pairs the same way, and the simulator's inline hit
+        # paths write it only for E->M upgrades, which no batch
+        # classification depends on.
         # When the batched kernel runs, it registers a set to learn which
         # (core, line) pairs a transaction touched so it can repair their
         # tag mirrors incrementally and invalidate chunk classifications.
@@ -157,105 +606,6 @@ class MesiProtocol(CoherenceProtocol):
         if victim is not None:
             self._handle_private_eviction(core_id, victim)
 
-    # ----------------------------------------------------- shared-level lookups
-
-    def _ensure_shared_levels(self, requester_chip: int, line_addr: int, breakdown: LatencyBreakdown) -> None:
-        """Charge L3/L4/memory latency for locating the line's data.
-
-        The requester always consults its chip's L3 (and directory slice).  If
-        the line is not on-chip it travels to the home L4 chip; if the L4 also
-        misses, main memory supplies the data.  Fill the touched levels so
-        subsequent accesses from this chip hit closer to the core.
-        """
-        breakdown.l3 += self._onchip_hop + self._l3_latency
-        if self._l3_caches[requester_chip].lookup(line_addr) is not None:
-            return
-        # Off-chip to the home L4 chip (topology- and contention-aware).
-        home_l4 = line_addr % self._n_l4_chips
-        breakdown.offchip_network += self._l4_rt(
-            requester_chip, home_l4, line_addr, self.current_time
-        )
-        breakdown.l4 += self._l4_latency
-        self.interconnect.record_one(MessageType.GET_SHARED, LinkScope.OFF_CHIP)
-        self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.OFF_CHIP)
-        if self._l4_caches[home_l4].lookup(line_addr) is None:
-            timing = self._memory.access(
-                home_l4, self.current_time, self.config.line_bytes
-            )
-            breakdown.main_memory += timing.latency
-            self._l4_caches[home_l4].insert(line_addr)
-        self._l3_caches[requester_chip].insert(line_addr)
-
-    # ------------------------------------------------- sharer invalidation cost
-
-    def _invalidate_sharers(
-        self,
-        requester: int,
-        line_addr: int,
-        sharers: Set[int],
-        breakdown: LatencyBreakdown,
-        *,
-        downgrade_to: Optional[StableState] = None,
-        data_returned: bool = False,
-    ) -> int:
-        """Invalidate (or downgrade) every sharer except the requester.
-
-        Returns the number of caches acted upon and charges the critical-path
-        delay: the global directory sends invalidations to every chip with
-        sharers in parallel, each chip invalidates its local caches through
-        its L3, and acks flow back.  Cross-chip invalidations therefore cost
-        an off-chip round trip plus a small per-sharer serialization term;
-        chip-local ones cost an on-chip round trip.
-        """
-        victims = sorted(sharers - {requester})
-        if not victims:
-            return 0
-        requester_chip = self._chip(requester)
-        victim_chips = {self._chip(core) for core in victims}
-        offchip_chips = {chip for chip in victim_chips if chip != requester_chip}
-
-        inval_latency = 0.0
-        if offchip_chips:
-            # The global directory at the line's home L4 chip invalidates
-            # every chip in parallel: the critical path is the slowest
-            # L4 <-> chip round trip (all equal under the dancehall).
-            home_l4 = line_addr % self._n_l4_chips
-            now = self.current_time
-            inval_latency += max(
-                self._l4_control_rt(chip, home_l4, line_addr, now)
-                for chip in offchip_chips
-            )
-            inval_latency += self._onchip_hop * 2
-        else:
-            inval_latency += self._onchip_hop * 2
-        inval_latency += self._l2_latency
-        inval_latency += self.PER_SHARER_INVAL_CYCLES * (len(victims) - 1)
-        breakdown.l4_invalidations += inval_latency
-
-        for core in victims:
-            state = self.core_state(core, line_addr)
-            scope = (
-                LinkScope.OFF_CHIP
-                if self._chip(core) != requester_chip
-                else LinkScope.ON_CHIP
-            )
-            self.interconnect.record_one(MessageType.INVALIDATE, scope)
-            if state is StableState.MODIFIED or data_returned:
-                self.interconnect.record_one(MessageType.DATA_WRITEBACK, scope)
-            else:
-                self.interconnect.record_one(MessageType.ACK, scope)
-            if downgrade_to is None:
-                self.hierarchy.private_invalidate(core, line_addr)
-                self._set_state(core, line_addr, StableState.INVALID)
-                self.directory.remove_sharer(line_addr, core)
-                self.stat_invalidations += 1
-            else:
-                self._set_state(core, line_addr, downgrade_to)
-                self.stat_downgrades += 1
-        return len(victims)
-
-    # ------------------------------------------------------------- transactions
-
     def _serialize_at_home(
         self,
         line_addr: int,
@@ -273,124 +623,7 @@ class MesiProtocol(CoherenceProtocol):
             breakdown.serialization += wait
         entry.busy_until = start + occupancy
 
-    def _read_transaction(
-        self, core_id: int, line_addr: int, now: float
-    ) -> AccessOutcome:
-        """GetS: obtain read permission (S, or E if unshared)."""
-        outcome = AccessOutcome()
-        breakdown = outcome.latency
-        breakdown.l1 += self._l1_latency
-        breakdown.l2 += self._l2_latency
-        chip = self._chip(core_id)
-        entry = self.directory.entry(line_addr)
-        self.interconnect.record_one(MessageType.GET_SHARED, LinkScope.ON_CHIP)
-
-        if entry.mode is LineMode.EXCLUSIVE:
-            owner = entry.exclusive_owner()
-            occupancy = self._downgrade_owner_for_read(
-                core_id, owner, line_addr, breakdown
-            )
-            self._serialize_at_home(line_addr, now, breakdown, occupancy, entry)
-            self.directory.clear_all_sharers(line_addr)
-            self.directory.grant_shared(line_addr, owner)
-            self._set_state(owner, line_addr, StableState.SHARED)
-            entry = self.directory.grant_shared(line_addr, core_id)
-            outcome.invalidations += 1
-        else:
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            self._serialize_at_home(line_addr, now, breakdown, self.LIGHT_OCCUPANCY, entry)
-            if entry.mode is LineMode.UNCACHED:
-                # Unshared: grant Exclusive (the E optimisation of MESI).
-                self.directory.grant_exclusive(line_addr, core_id)
-                self._set_state(core_id, line_addr, StableState.EXCLUSIVE)
-                self._fill_private(core_id, line_addr)
-                self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-                outcome.value = self._load_value(line_addr)
-                return outcome
-            self.directory.grant_shared(line_addr, core_id)
-
-        self._set_state(core_id, line_addr, StableState.SHARED)
-        self._fill_private(core_id, line_addr)
-        self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-        outcome.value = self._load_value(line_addr)
-        return outcome
-
-    def _downgrade_owner_for_read(
-        self, requester: int, owner: int, line_addr: int, breakdown: LatencyBreakdown
-    ) -> float:
-        """Fetch data from the current exclusive owner, downgrading it to S."""
-        requester_chip = self._chip(requester)
-        owner_chip = self._chip(owner)
-        breakdown.l3 += self._onchip_hop + self._l3_latency
-        latency = self._l2_latency + 2 * self._onchip_hop
-        if owner_chip != requester_chip:
-            transfer = self._chip_rt(requester_chip, owner_chip, self.current_time)
-            latency += transfer
-            breakdown.offchip_network += transfer
-            breakdown.l4 += self._l4_latency
-            scope = LinkScope.OFF_CHIP
-        else:
-            scope = LinkScope.ON_CHIP
-        breakdown.l4_invalidations += latency
-        self.interconnect.record_one(MessageType.DOWNGRADE, scope)
-        self.interconnect.record_one(MessageType.DATA_WRITEBACK, scope)
-        self.stat_downgrades += 1
-        self._l3_caches[requester_chip].insert(line_addr)
-        return latency
-
-    def _write_transaction(
-        self,
-        core_id: int,
-        line_addr: int,
-        now: float,
-        *,
-        needs_data: bool,
-    ) -> AccessOutcome:
-        """GetX/Upgrade: obtain exclusive (M) permission."""
-        outcome = AccessOutcome()
-        breakdown = outcome.latency
-        breakdown.l1 += self._l1_latency
-        breakdown.l2 += self._l2_latency
-        chip = self._chip(core_id)
-        entry = self.directory.entry(line_addr)
-        self.interconnect.record_one(MessageType.GET_EXCLUSIVE, LinkScope.ON_CHIP)
-
-        sharers = entry.sharers
-        occupancy = self.LIGHT_OCCUPANCY
-
-        if entry.mode is LineMode.EXCLUSIVE and entry.exclusive_owner() != core_id:
-            owner = entry.exclusive_owner()
-            occupancy = self._downgrade_owner_for_read(core_id, owner, line_addr, breakdown)
-            self.hierarchy.private_invalidate(owner, line_addr)
-            self._set_state(owner, line_addr, StableState.INVALID)
-            self.stat_invalidations += 1
-            outcome.invalidations += 1
-        elif (entry.mode is LineMode.READ_ONLY or entry.mode is LineMode.UPDATE_ONLY) and (
-            len(sharers) > 1 or (sharers and core_id not in sharers)
-        ):
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            count = self._invalidate_sharers(core_id, line_addr, set(sharers), breakdown)
-            outcome.invalidations += count
-            occupancy = breakdown.l4_invalidations + self.LIGHT_OCCUPANCY
-        else:
-            if needs_data and self.core_state(core_id, line_addr) is StableState.INVALID:
-                self._ensure_shared_levels(chip, line_addr, breakdown)
-            occupancy = max(self.LIGHT_OCCUPANCY, breakdown.offchip_network + breakdown.l4)
-
-        self._serialize_at_home(line_addr, now, breakdown, occupancy, entry)
-        self.directory.clear_all_sharers(line_addr)
-        self.directory.grant_exclusive(line_addr, core_id)
-        self._set_state(core_id, line_addr, StableState.MODIFIED)
-        self._fill_private(core_id, line_addr)
-        self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-        return outcome
-
     # ------------------------------------------------------------ value helpers
-
-    def _load_value(self, line_addr: int):
-        if not self.track_values:
-            return None
-        return None  # Line-level loads have word granularity handled by callers.
 
     def _functional_load(self, access: MemoryAccess):
         if not self.track_values:
@@ -443,8 +676,7 @@ class MesiProtocol(CoherenceProtocol):
 
         if level and state is not None:
             if access_type is AccessType.LOAD:
-                # repro-lint: disable=P203(shared MESI-family fast path also services MEUSI U lines via inheritance; plain MESI never reaches this state)
-                if state is not StableState.UPDATE:  # S/E/M can satisfy a load
+                if state is not _UPDATE:  # S/E/M can satisfy a load
                     return level
             elif (
                 state is StableState.MODIFIED or state is StableState.EXCLUSIVE
@@ -468,50 +700,46 @@ class MesiProtocol(CoherenceProtocol):
         level,
         now: float,
     ) -> AccessOutcome:
+        return self._resolve_transaction(core_id, access, line_addr, state, level, now)
+
+    def _resolve_transaction(
+        self,
+        core_id: int,
+        access: MemoryAccess,
+        line_addr: int,
+        state: Optional[StableState],
+        level,
+        now: float,
+    ) -> AccessOutcome:
+        """Probe (if the caller did not) and run the access's transaction shape.
+
+        The subclasses' ``resolve_slow`` overrides end here too, so an
+        instrumented ``resolve_slow`` sees each access exactly once.
+        """
         if level is None:
             self._private_level(core_id, line_addr)
-        access_type = access.access_type
-        if (
-            access_type is AccessType.COMMUTATIVE_UPDATE
-            or access_type is AccessType.REMOTE_UPDATE
-        ):
-            access_type = AccessType.ATOMIC_RMW
-        self.current_time = now
-        return self._access_slow(core_id, access, access_type, line_addr, state, now)
+        kind = KIND_OF_TYPE[access.access_type]
+        b3, b4, b5, b6, b7, b8, invalidations = self._transaction(
+            self, core_id, kind, access.op, access.address, line_addr, state,
+            access.value, now,
+        )
+        outcome = AccessOutcome(
+            LatencyBreakdown(
+                0.0 + self._l1_latency, 0.0 + self._l2_latency, b3, b4, b5, b6, b7, b8
+            ),
+            invalidations=invalidations,
+        )
+        # Loads and atomics return the word; stores and COUP's GetU grants
+        # (commutative updates under update-only folding) return nothing.
+        if kind != 1 and not (kind >= 3 and self.HOT_COMMUTATIVE == "local"):
+            outcome.value = self._functional_load(access)
+        return outcome
 
     # ------------------------------------------------- group retirement (batch)
 
     def slow_batch_begin(self, cpi: float, atomic_overhead: float, commutative_overhead: float) -> None:
         """Receive the core-model constants the retirement loop charges."""
-        self._sb_core_params = (cpi, atomic_overhead, commutative_overhead)
-
-    def _slow_batch_consts(self) -> Tuple[Any, Any, Any, int]:
-        """Hoisted per-run constants for :meth:`resolve_slow_batch`."""
-        consts = self._sb_consts
-        if consts is None:
-            size_of = self.interconnect._size_of
-            labels = {
-                key: (msg_type.label, size_of[msg_type.label])
-                for key, msg_type in (
-                    ("gs", MessageType.GET_SHARED),
-                    ("gx", MessageType.GET_EXCLUSIVE),
-                    ("gu", MessageType.GET_UPDATE),
-                    ("dr", MessageType.DATA_RESPONSE),
-                    ("dw", MessageType.DATA_WRITEBACK),
-                    ("dg", MessageType.DOWNGRADE),
-                    ("inv", MessageType.INVALIDATE),
-                    ("ack", MessageType.ACK),
-                    ("gnd", MessageType.GRANT_NO_DATA),
-                )
-            }
-            consts = (
-                labels,
-                self.interconnect.l4_round_trip_table,
-                self.interconnect.chip_transfer_table,
-                self.config.line_bytes,
-            )
-            self._sb_consts = consts
-        return consts
+        self._batch_core_params = (cpi, atomic_overhead, commutative_overhead)
 
     def resolve_slow_batch(
         self,
@@ -529,20 +757,26 @@ class MesiProtocol(CoherenceProtocol):
     ) -> Tuple[int, int, int]:
         """Group-retire the pending accesses of many cores in one merged call.
 
-        See :meth:`CoherenceProtocol.slow_batch_ready` for the contract.  One
-        slot per participating core: ``slot_codes`` / ``slot_addrs`` /
-        ``slot_gaps`` / ``slot_deltas`` hold the full per-core trace columns,
-        ``slot_cursor`` / ``slot_limit`` the half-open index range still to
-        retire, and ``slot_clock`` the core clock at the cursor.  The loop
-        replays the exact scalar ``(clock, core_id)`` heap order across all
-        slots with a k-way merge — each step retires one access of the
-        earliest slot, so the interleaving is bit-identical to the scalar
-        heap by construction — while amortizing the per-event interpreter
+        The batched kernel calls this whenever :attr:`SUPPORTS_SLOW_BATCH`
+        holds, with one slot per runnable core: ``slot_codes`` /
+        ``slot_addrs`` / ``slot_gaps`` / ``slot_deltas`` hold the full
+        per-core trace columns, ``slot_cursor`` / ``slot_limit`` the
+        half-open index range still to retire, and ``slot_clock`` the core
+        clock at the cursor.  The loop retires accesses in the **canonical
+        order** — the exact ascending ``(clock, core id)`` order of the
+        scalar scheduler's heap — with a k-way merge: each step retires one
+        access of the earliest slot, so the interleaving is bit-identical to
+        the scalar heap by construction, while the per-event interpreter
         cost (window re-extraction, classification, mirror repair, heap
-        churn) over whole stretches of the merge.  Hits retire inline with
-        the same hand-duplicated probe as the scalar loops;
-        independence-classified slow transactions retire flattened (same
-        state mutations, same statistics, same float-operation sequences).
+        churn) is amortized over whole stretches.  Hits retire inline with
+        the same hand-duplicated probe as the scalar loops; slow accesses
+        run the engine's transaction shapes — the very functions
+        :meth:`resolve_slow` calls — after the same exactly-once probe.
+        Every retired access is therefore bit-identical (statistics,
+        directory and cache mutations, traffic, off-chip hook calls,
+        functional values) to what the scalar loop's probe +
+        ``resolve_slow`` sequence produces at the same position, and
+        touched (core, line) pairs reach :attr:`touched_cores` the same way.
 
         A slot whose head access is a true conflict (cross-op update or
         demand on an update-only line — a reduction trigger — or any update
@@ -555,11 +789,13 @@ class MesiProtocol(CoherenceProtocol):
 
         ``slot_cursor`` and ``slot_clock`` are updated in place;
         ``slot_dirty[s]`` is set when slot ``s``'s private-cache membership
-        changed (L2 promotions, fills, evictions), i.e. when its tag mirror
-        needs a rebuild.  Returns ``(n_retired, n_slow, n_parked)``.
+        changed (L2 promotions, fills, evictions — L1-hit LRU refreshes do
+        not count), i.e. when its tag mirror needs a rebuild.  Returns
+        ``(n_retired, n_slow, n_parked)``.
         """
-        labels, l4_rt_table, chip_rt_table, line_bytes = self._slow_batch_consts()
-        cpi, atomic_overhead, commutative_overhead = self._sb_core_params
+        cpi, atomic_overhead, commutative_overhead = self._batch_core_params
+        transaction = self._transaction
+        private_level = self._private_level
         # MEUSI-only members (delta buffers, update statistics) are reached
         # solely under ``comm_local``; the Any view keeps the shared loop in
         # one place without widening the MESI class surface.
@@ -568,53 +804,22 @@ class MesiProtocol(CoherenceProtocol):
         code_op = CODE_OP
         code_vk = CODE_VALUE_KIND
         line_shift = self._line_shift
-        chip_of = self._chip_of_core
-        onchip = self._onchip_hop
         l1_lat = self._l1_latency
         l2_lat = self._l2_latency
-        l3_lat = self._l3_latency
-        l4_lat = self._l4_latency
         l1_hit_total = l1_lat + 0.0
         l2_hit_total = l1_lat + l2_lat + 0.0
-        light = self.LIGHT_OCCUPANCY
-        per_sharer = self.PER_SHARER_INVAL_CYCLES
-        n_l4 = self._n_l4_chips
+        # Every slow shape charges the L1 + L2 lookup before its own terms.
+        slow_l1 = 0.0 + l1_lat
+        slow_l2 = 0.0 + l2_lat
         comm_local = self.HOT_COMMUTATIVE == "local"
         comm_never = self.HOT_COMMUTATIVE == "never"
         track = self.track_values
         image = self.memory_image
         dir_entries = self.directory._entries
         core_states = self.core_states
-        l3_caches = self._l3_caches
-        l4_caches = self._l4_caches
-        memory = self._memory
-        hierarchy = self.hierarchy
-        fill_victim = hierarchy.private_fill_victim
-        private_invalidate = hierarchy.private_invalidate
-        handle_eviction = self._handle_private_eviction
-        traffic = self.interconnect.traffic
-        mbt = traffic.messages_by_type
-        bbt = traffic.bytes_by_type
-        touched = self.touched_cores
-        if touched is None:
-            touched = set()
-        l_gs, s_gs = labels["gs"]
-        l_gx, s_gx = labels["gx"]
-        l_gu, s_gu = labels["gu"]
-        l_dr, s_dr = labels["dr"]
-        l_dw, s_dw = labels["dw"]
-        l_dg, s_dg = labels["dg"]
-        l_inv, s_inv = labels["inv"]
-        l_ack, s_ack = labels["ack"]
-        l_gnd, s_gnd = labels["gnd"]
         MOD = StableState.MODIFIED
         EXC = StableState.EXCLUSIVE
-        SHR = StableState.SHARED
-        # repro-lint: disable=P203(shared MESI-family retirement loop also services MEUSI U shapes via inheritance, mirroring access_hot; plain MESI never reaches those branches)
-        UPD = StableState.UPDATE
-        M_EXCLUSIVE = LineMode.EXCLUSIVE
-        M_READ_ONLY = LineMode.READ_ONLY
-        M_UNCACHED = LineMode.UNCACHED
+        UPD = _UPDATE
         M_UPDATE_ONLY = LineMode.UPDATE_ONLY
 
         # -- per-slot object hoists (indexed by merge slot) --------------------
@@ -626,7 +831,6 @@ class MesiProtocol(CoherenceProtocol):
         a_l1_nsets = [l1.probe_parts()[1] for l1 in a_l1]
         a_l2_sets = [l2.probe_parts()[0] for l2 in a_l2]
         a_l2_nsets = [l2.probe_parts()[1] for l2 in a_l2]
-        a_chip = [chip_of[cid] for cid in slot_cores]
         a_slat = [stats.latency for stats in slot_stats]
         # Chunked column materialization (ndarray -> list) per slot, on demand.
         a_codes: List[Any] = [None] * n_slots
@@ -678,7 +882,6 @@ class MesiProtocol(CoherenceProtocol):
             l1_nsets = a_l1_nsets[s]
             l2_sets = a_l2_sets[s]
             l2_nsets = a_l2_nsets[s]
-            chip = a_chip[s]
             codes_l = a_codes[s]
             addrs_l = a_addrs[s]
             gaps_l = a_gaps[s]
@@ -846,403 +1049,25 @@ class MesiProtocol(CoherenceProtocol):
                         break
                     continue
 
-                # ---------------------------------------------------- slow shapes
-                self.current_time = issue
+                # -- slow access: resolve_slow's probe, then its transaction
                 slot_dirty[s] = True
                 if level is None:
-                    # Not probed yet (untracked state / update-state demand):
-                    # replicate resolve_slow's exactly-once probe.
-                    cache_set = l1_sets.get(line_addr % l1_nsets)
-                    info = cache_set.get(line_addr) if cache_set is not None else None
-                    if info is not None:
-                        l1.hits += 1
-                        l1._tick = tick = l1._tick + 1
-                        info.last_use = tick
-                    else:
-                        l1.misses += 1
-                        cache_set = l2_sets.get(line_addr % l2_nsets)
-                        info = cache_set.get(line_addr) if cache_set is not None else None
-                        if info is not None:
-                            l2.hits += 1
-                            l2._tick = tick = l2._tick + 1
-                            info.last_use = tick
-                            l1.insert(line_addr)
-                        else:
-                            l2.misses += 1
-
-                b1 = 0.0 + l1_lat
-                b2 = 0.0 + l2_lat
-                b3 = 0.0
-                b4 = 0.0  # offchip_network
-                b5 = 0.0  # l4
-                b6 = 0.0  # l4_invalidations
-                b7 = 0.0  # main_memory
-                b8 = 0.0  # serialization
-                entry = dir_entries.get(line_addr)
-                if entry is None:
-                    entry = DirectoryEntry(line_addr=line_addr)
-                    dir_entries[line_addr] = entry
-                mode = entry.mode
-                value = (
-                    decode_value(code_vk[code], deltas_l[i])
-                    if (track and kind != 0)
-                    else None
+                    # Not probed yet (untracked state): probe exactly once.
+                    private_level(core_id, line_addr)
+                b3, b4, b5, b6, b7, b8, _invalidations = transaction(
+                    self, core_id, kind, code_op[code], address, line_addr, state,
+                    decode_value(code_vk[code], deltas_l[i]) if (track and kind != 0) else None,
+                    issue,
                 )
-
-                if is_comm and comm_local:
-                    # ---------------- MEUSI GetU shapes (U1-U5; U6 parked) ------
-                    op = code_op[code]
-                    traffic.on_chip_bytes += s_gu
-                    mbt[l_gu] += 1
-                    bbt[l_gu] += s_gu
-                    sp.stat_update_grants += 1
-                    if mode is M_UNCACHED:
-                        # U1: unshared, grant M directly.
-                        b3, b4, b5, b7 = self._sb_ensure_shared(
-                            chip, line_addr, issue, b3, b4, b5, b7,
-                            l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                            onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                            l_gs, s_gs, l_dr, s_dr,
-                        )
-                        start = entry.busy_until
-                        if issue > start:
-                            start = issue
-                        wait = start - issue
-                        if wait > 0:
-                            b8 += wait
-                        entry.busy_until = start + light
-                        entry.mode = M_EXCLUSIVE
-                        entry.sharers = {core_id}
-                        entry.op = None
-                        touched.add((core_id, line_addr))
-                        states[line_addr] = MOD
-                        victim = fill_victim(core_id, line_addr)
-                        if victim is not None:
-                            handle_eviction(core_id, victim)
-                        traffic.on_chip_bytes += s_dr
-                        mbt[l_dr] += 1
-                        bbt[l_dr] += s_dr
-                        if track and value is not None:
-                            current = image.get(address, op.identity)
-                            image[address] = op.apply(current, value)
-                    elif mode is M_EXCLUSIVE:
-                        owner = next(iter(entry.sharers))
-                        if owner == core_id:
-                            # U2: our own copy absorbs the update in M.
-                            touched.add((core_id, line_addr))
-                            states[line_addr] = MOD
-                            if track and value is not None:
-                                current = image.get(address, op.identity)
-                                image[address] = op.apply(current, value)
-                        else:
-                            # U3: downgrade the owner M->U; both become updaters.
-                            owner_chip = chip_of[owner]
-                            lat = l2_lat + 2 * onchip
-                            if owner_chip != chip:
-                                transfer = chip_rt_table[chip][owner_chip]
-                                lat += transfer
-                                b4 += transfer
-                                b5 += l4_lat
-                                traffic.off_chip_bytes += s_dg + s_dw
-                            else:
-                                traffic.on_chip_bytes += s_dg + s_dw
-                            b6 += lat
-                            mbt[l_dg] += 1
-                            bbt[l_dg] += s_dg
-                            mbt[l_dw] += 1
-                            bbt[l_dw] += s_dw
-                            start = entry.busy_until
-                            if issue > start:
-                                start = issue
-                            wait = start - issue
-                            if wait > 0:
-                                b8 += wait
-                            entry.busy_until = start + lat
-                            self.stat_downgrades += 1
-                            l3_caches[owner_chip].insert(line_addr)
-                            entry.mode = M_UPDATE_ONLY
-                            entry.sharers = {owner, core_id}
-                            entry.op = op
-                            touched.add((owner, line_addr))
-                            core_states[owner][line_addr] = UPD
-                            touched.add((core_id, line_addr))
-                            states[line_addr] = UPD
-                            sp._buffer_for(owner, line_addr, op)
-                            victim = fill_victim(core_id, line_addr)
-                            if victim is not None:
-                                handle_eviction(core_id, victim)
-                            traffic.on_chip_bytes += s_gnd
-                            mbt[l_gnd] += 1
-                            bbt[l_gnd] += s_gnd
-                            if track and value is not None:
-                                sp._buffer_for(core_id, line_addr, op).update(
-                                    address, value
-                                )
-                    elif mode is M_READ_ONLY:
-                        # U4: invalidate all readers, then grant update-only.
-                        b3, b4, b5, b7 = self._sb_ensure_shared(
-                            chip, line_addr, issue, b3, b4, b5, b7,
-                            l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                            onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                            l_gs, s_gs, l_dr, s_dr,
-                        )
-                        victims = sorted(entry.sharers - {core_id})
-                        if victims:
-                            b6 = self._sb_invalidate(
-                                core_id, chip, line_addr, entry, victims, b6,
-                                core_states, private_invalidate, touched,
-                                traffic, mbt, bbt, chip_of,
-                                onchip, l2_lat, per_sharer, n_l4, l4_rt_table,
-                                l_inv, s_inv, l_ack, s_ack, l_dw, s_dw,
-                            )
-                        occupancy = b6 + light
-                        start = entry.busy_until
-                        if issue > start:
-                            start = issue
-                        wait = start - issue
-                        if wait > 0:
-                            b8 += wait
-                        entry.busy_until = start + occupancy
-                        entry.mode = M_UPDATE_ONLY
-                        entry.sharers = {core_id}
-                        entry.op = op
-                        touched.add((core_id, line_addr))
-                        states[line_addr] = UPD
-                        victim = fill_victim(core_id, line_addr)
-                        if victim is not None:
-                            handle_eviction(core_id, victim)
-                        traffic.on_chip_bytes += s_gnd
-                        mbt[l_gnd] += 1
-                        bbt[l_gnd] += s_gnd
-                        if track and value is not None:
-                            sp._buffer_for(core_id, line_addr, op).update(address, value)
-                    else:
-                        # U5: same-op update-only join (cross-op parked above).
-                        b3, b4, b5, b7 = self._sb_ensure_shared(
-                            chip, line_addr, issue, b3, b4, b5, b7,
-                            l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                            onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                            l_gs, s_gs, l_dr, s_dr,
-                        )
-                        start = entry.busy_until
-                        if issue > start:
-                            start = issue
-                        wait = start - issue
-                        if wait > 0:
-                            b8 += wait
-                        entry.busy_until = start + light
-                        entry.sharers.add(core_id)
-                        touched.add((core_id, line_addr))
-                        states[line_addr] = UPD
-                        victim = fill_victim(core_id, line_addr)
-                        if victim is not None:
-                            handle_eviction(core_id, victim)
-                        traffic.on_chip_bytes += s_gnd
-                        mbt[l_gnd] += 1
-                        bbt[l_gnd] += s_gnd
-                        if track and value is not None:
-                            sp._buffer_for(core_id, line_addr, op).update(address, value)
-                elif kind == 0:
-                    # ------------------------ GetS (R1 downgrade / R2 / R3) ------
-                    traffic.on_chip_bytes += s_gs
-                    mbt[l_gs] += 1
-                    bbt[l_gs] += s_gs
-                    if mode is M_EXCLUSIVE:
-                        owner = next(iter(entry.sharers))
-                        owner_chip = chip_of[owner]
-                        b3 += onchip + l3_lat
-                        lat = l2_lat + 2 * onchip
-                        if owner_chip != chip:
-                            transfer = chip_rt_table[chip][owner_chip]
-                            lat += transfer
-                            b4 += transfer
-                            b5 += l4_lat
-                            traffic.off_chip_bytes += s_dg + s_dw
-                        else:
-                            traffic.on_chip_bytes += s_dg + s_dw
-                        b6 += lat
-                        mbt[l_dg] += 1
-                        bbt[l_dg] += s_dg
-                        mbt[l_dw] += 1
-                        bbt[l_dw] += s_dw
-                        self.stat_downgrades += 1
-                        l3_caches[chip].insert(line_addr)
-                        start = entry.busy_until
-                        if issue > start:
-                            start = issue
-                        wait = start - issue
-                        if wait > 0:
-                            b8 += wait
-                        entry.busy_until = start + lat
-                        entry.mode = M_READ_ONLY
-                        entry.sharers = {owner}
-                        entry.op = None
-                        touched.add((owner, line_addr))
-                        core_states[owner][line_addr] = SHR
-                        entry.sharers.add(core_id)
-                    else:
-                        b3, b4, b5, b7 = self._sb_ensure_shared(
-                            chip, line_addr, issue, b3, b4, b5, b7,
-                            l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                            onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                            l_gs, s_gs, l_dr, s_dr,
-                        )
-                        start = entry.busy_until
-                        if issue > start:
-                            start = issue
-                        wait = start - issue
-                        if wait > 0:
-                            b8 += wait
-                        entry.busy_until = start + light
-                        if mode is M_UNCACHED:
-                            # R2: unshared read is granted Exclusive.
-                            entry.mode = M_EXCLUSIVE
-                            entry.sharers = {core_id}
-                            entry.op = None
-                            touched.add((core_id, line_addr))
-                            states[line_addr] = EXC
-                            victim = fill_victim(core_id, line_addr)
-                            if victim is not None:
-                                handle_eviction(core_id, victim)
-                            traffic.on_chip_bytes += s_dr
-                            mbt[l_dr] += 1
-                            bbt[l_dr] += s_dr
-                            slat.l1 += b1
-                            slat.l2 += b2
-                            slat.l3 += b3
-                            slat.offchip_network += b4
-                            slat.l4 += b5
-                            slat.l4_invalidations += b6
-                            slat.main_memory += b7
-                            slat.serialization += b8
-                            total = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
-                            stats.accesses += 1
-                            stats.compute_cycles += think + overhead
-                            stats.memory_cycles += total
-                            clock = issue + overhead + total
-                            cursor += 1
-                            retired += 1
-                            n_slow += 1
-                            streak = 0
-                            if clock > nxt_clock or (
-                                clock == nxt_clock and cid > nxt_cid
-                            ):
-                                slot_cursor[s] = cursor
-                                slot_clock[s] = clock
-                                heappush(heap, (clock, cid, s))
-                                break
-                            continue
-                        # R3: read-only join.
-                        entry.mode = M_READ_ONLY
-                        entry.sharers.add(core_id)
-                        entry.op = None
-                    touched.add((core_id, line_addr))
-                    states[line_addr] = SHR
-                    victim = fill_victim(core_id, line_addr)
-                    if victim is not None:
-                        handle_eviction(core_id, victim)
-                    traffic.on_chip_bytes += s_dr
-                    mbt[l_dr] += 1
-                    bbt[l_dr] += s_dr
-                else:
-                    # --------------- GetX / Upgrade (W1 / W2 / cold-upgrade) -----
-                    traffic.on_chip_bytes += s_gx
-                    mbt[l_gx] += 1
-                    bbt[l_gx] += s_gx
-                    if mode is M_EXCLUSIVE and next(iter(entry.sharers)) != core_id:
-                        # W1: ownership transfer from the current owner.
-                        owner = next(iter(entry.sharers))
-                        owner_chip = chip_of[owner]
-                        b3 += onchip + l3_lat
-                        lat = l2_lat + 2 * onchip
-                        if owner_chip != chip:
-                            transfer = chip_rt_table[chip][owner_chip]
-                            lat += transfer
-                            b4 += transfer
-                            b5 += l4_lat
-                            traffic.off_chip_bytes += s_dg + s_dw
-                        else:
-                            traffic.on_chip_bytes += s_dg + s_dw
-                        b6 += lat
-                        mbt[l_dg] += 1
-                        bbt[l_dg] += s_dg
-                        mbt[l_dw] += 1
-                        bbt[l_dw] += s_dw
-                        self.stat_downgrades += 1
-                        l3_caches[chip].insert(line_addr)
-                        occupancy = lat
-                        private_invalidate(owner, line_addr)
-                        touched.add((owner, line_addr))
-                        core_states[owner].pop(line_addr, None)
-                        self.stat_invalidations += 1
-                    elif mode is M_READ_ONLY and (
-                        len(entry.sharers) > 1
-                        or (entry.sharers and core_id not in entry.sharers)
-                    ):
-                        # W2: invalidate every reader, then take ownership.
-                        b3, b4, b5, b7 = self._sb_ensure_shared(
-                            chip, line_addr, issue, b3, b4, b5, b7,
-                            l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                            onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                            l_gs, s_gs, l_dr, s_dr,
-                        )
-                        victims = sorted(entry.sharers - {core_id})
-                        b6 = self._sb_invalidate(
-                            core_id, chip, line_addr, entry, victims, b6,
-                            core_states, private_invalidate, touched,
-                            traffic, mbt, bbt, chip_of,
-                            onchip, l2_lat, per_sharer, n_l4, l4_rt_table,
-                            l_inv, s_inv, l_ack, s_ack, l_dw, s_dw,
-                        )
-                        occupancy = b6 + light
-                    else:
-                        # W3/cold: upgrade in place or fetch-and-own.
-                        if state is None:
-                            b3, b4, b5, b7 = self._sb_ensure_shared(
-                                chip, line_addr, issue, b3, b4, b5, b7,
-                                l3_caches, l4_caches, memory, traffic, mbt, bbt,
-                                onchip, l3_lat, l4_lat, n_l4, l4_rt_table, line_bytes,
-                                l_gs, s_gs, l_dr, s_dr,
-                            )
-                        occupancy = b4 + b5
-                        if occupancy < light:
-                            occupancy = light
-                    start = entry.busy_until
-                    if issue > start:
-                        start = issue
-                    wait = start - issue
-                    if wait > 0:
-                        b8 += wait
-                    entry.busy_until = start + occupancy
-                    entry.mode = M_EXCLUSIVE
-                    entry.sharers = {core_id}
-                    entry.op = None
-                    touched.add((core_id, line_addr))
-                    states[line_addr] = MOD
-                    victim = fill_victim(core_id, line_addr)
-                    if victim is not None:
-                        handle_eviction(core_id, victim)
-                    traffic.on_chip_bytes += s_dr
-                    mbt[l_dr] += 1
-                    bbt[l_dr] += s_dr
-                    if track and value is not None:
-                        if kind == 1:
-                            image[address] = value
-                        else:
-                            op = code_op[code]
-                            if op is not None:
-                                current = image.get(address, op.identity)
-                                image[address] = op.apply(current, value)
-
-                slat.l1 += b1
-                slat.l2 += b2
+                slat.l1 += slow_l1
+                slat.l2 += slow_l2
                 slat.l3 += b3
                 slat.offchip_network += b4
                 slat.l4 += b5
                 slat.l4_invalidations += b6
                 slat.main_memory += b7
                 slat.serialization += b8
-                total = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
+                total = slow_l1 + slow_l2 + b3 + b4 + b5 + b6 + b7 + b8
                 stats.accesses += 1
                 stats.compute_cycles += think + overhead
                 stats.memory_cycles += total
@@ -1259,139 +1084,6 @@ class MesiProtocol(CoherenceProtocol):
                 # Still the earliest slot: keep retiring its trace in order.
 
         return retired, n_slow, n_parked
-
-    def _sb_ensure_shared(
-        self, chip: int, line_addr: int, now: float,
-        b3: float, b4: float, b5: float, b7: float,
-        l3_caches: Any, l4_caches: Any, memory: Any, traffic: Any,
-        mbt: Any, bbt: Any,
-        onchip: float, l3_lat: float, l4_lat: float, n_l4: int,
-        l4_rt_table: Any, line_bytes: int,
-        l_gs: Any, s_gs: int, l_dr: Any, s_dr: int,
-    ) -> Tuple[float, float, float, float]:
-        """Flattened :meth:`_ensure_shared_levels` (contention-free tables)."""
-        b3 += onchip + l3_lat
-        l3 = l3_caches[chip]
-        l3_sets, l3_nsets = l3.probe_parts()
-        cache_set = l3_sets.get(line_addr % l3_nsets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
-            l3.hits += 1
-            l3._tick = tick = l3._tick + 1
-            info.last_use = tick
-            return b3, b4, b5, b7
-        l3.misses += 1
-        home_l4 = line_addr % n_l4
-        b4 += l4_rt_table[chip][home_l4]
-        b5 += l4_lat
-        traffic.off_chip_bytes += s_gs + s_dr
-        mbt[l_gs] += 1
-        bbt[l_gs] += s_gs
-        mbt[l_dr] += 1
-        bbt[l_dr] += s_dr
-        l4 = l4_caches[home_l4]
-        l4_sets, l4_nsets = l4.probe_parts()
-        cache_set = l4_sets.get(line_addr % l4_nsets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
-            l4.hits += 1
-            l4._tick = tick = l4._tick + 1
-            info.last_use = tick
-        else:
-            l4.misses += 1
-            timing = memory.access(home_l4, now, line_bytes)
-            b7 += timing.latency
-            l4.insert(line_addr)
-        l3.insert(line_addr)
-        return b3, b4, b5, b7
-
-    def _sb_invalidate(
-        self, core_id: int, chip: int, line_addr: int,
-        entry: Any, victims: Any, b6: float,
-        core_states: Any, private_invalidate: Any, touched: Any,
-        traffic: Any, mbt: Any, bbt: Any, chip_of: Any,
-        onchip: float, l2_lat: float, per_sharer: float, n_l4: int,
-        l4_rt_table: Any,
-        l_inv: Any, s_inv: int, l_ack: Any, s_ack: int, l_dw: Any, s_dw: int,
-    ) -> float:
-        """Flattened :meth:`_invalidate_sharers` (no downgrade, no data)."""
-        victim_chips = {chip_of[core] for core in victims}
-        offchip_chips = {c for c in victim_chips if c != chip}
-        inval_latency = 0.0
-        if offchip_chips:
-            home_l4 = line_addr % n_l4
-            inval_latency += max(l4_rt_table[c][home_l4] for c in offchip_chips)
-            inval_latency += onchip * 2
-        else:
-            inval_latency += onchip * 2
-        inval_latency += l2_lat
-        inval_latency += per_sharer * (len(victims) - 1)
-        b6 += inval_latency
-        MOD = StableState.MODIFIED
-        for core in victims:
-            vstate = core_states[core].get(line_addr)
-            if chip_of[core] != chip:
-                traffic.off_chip_bytes += s_inv
-                if vstate is MOD:
-                    traffic.off_chip_bytes += s_dw
-                    mbt[l_dw] += 1
-                    bbt[l_dw] += s_dw
-                else:
-                    traffic.off_chip_bytes += s_ack
-                    mbt[l_ack] += 1
-                    bbt[l_ack] += s_ack
-            else:
-                traffic.on_chip_bytes += s_inv
-                if vstate is MOD:
-                    traffic.on_chip_bytes += s_dw
-                    mbt[l_dw] += 1
-                    bbt[l_dw] += s_dw
-                else:
-                    traffic.on_chip_bytes += s_ack
-                    mbt[l_ack] += 1
-                    bbt[l_ack] += s_ack
-            mbt[l_inv] += 1
-            bbt[l_inv] += s_inv
-            private_invalidate(core, line_addr)
-            touched.add((core, line_addr))
-            core_states[core].pop(line_addr, None)
-            entry.sharers.discard(core)
-            if not entry.sharers:
-                entry.mode = LineMode.UNCACHED
-                entry.op = None
-            self.stat_invalidations += 1
-        return b6
-
-    def _access_slow(
-        self,
-        core_id: int,
-        access: MemoryAccess,
-        access_type: AccessType,
-        line_addr: int,
-        state: Optional[StableState],
-        now: float,
-    ) -> AccessOutcome:
-        """Directory/transaction path for accesses the fast path rejected."""
-        if access_type is AccessType.LOAD:
-            outcome = self._read_transaction(core_id, line_addr, now)
-            outcome.value = self._functional_load(access)
-            return outcome
-
-        if access_type is AccessType.STORE:
-            outcome = self._write_transaction(
-                core_id, line_addr, now, needs_data=state is None
-            )
-            self._functional_store(access)
-            return outcome
-
-        # Atomic read-modify-write: requires M just like a store, plus the
-        # core-side atomic sequence overhead charged by the core model.
-        outcome = self._write_transaction(
-            core_id, line_addr, now, needs_data=state is None
-        )
-        self._functional_update(access)
-        outcome.value = self._functional_load(access)
-        return outcome
 
     def _hit_value(self, access: MemoryAccess):
         """Value a private hit returns through the full :meth:`access` API."""

@@ -21,7 +21,7 @@ cost the same as under MESI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,11 +45,12 @@ class MeusiProtocol(MesiProtocol):
     HOT_COMMUTATIVE = "local"
 
     #: Independence classification (mode x kind: load/store/atomic/comm/remote).
-    #: Stable MESI modes keep their flattened twins; GetU joins and grants
-    #: (U1-U5) are flattened too.  Demand accesses to an update-only line and
-    #: cross-op updates trigger full reductions — true conflicts that must
-    #: retire through the exact scalar path — so the update-only row is
-    #: conflict for demand kinds and op-dependent (same-op joins only) for
+    #: The merge retires every stable-MESI-mode shape and the GetU grants and
+    #: joins (U1-U5) through the same transaction functions ``resolve_slow``
+    #: runs.  Demand accesses to an update-only line and cross-op updates
+    #: (U6) trigger full reductions — true conflicts that must retire
+    #: through the exact scalar path — so the update-only row is conflict
+    #: for demand kinds and op-dependent (same-op joins only) for
     #: commutative/remote updates.
     SLOW_SHAPE_TABLE = np.array(
         [
@@ -226,89 +227,28 @@ class MeusiProtocol(MesiProtocol):
         self.stat_invalidations += total_partials
         return total_partials, critical_path
 
-    # --------------------------------------------------------- GetU transaction
+    # ------------------------------------------- cross-op GetU (U6 transaction)
 
-    def _update_transaction(
+    def _cross_op_update(
         self, core_id: int, line_addr: int, op: CommutativeOp, now: float
     ) -> AccessOutcome:
-        """Obtain update-only (or exclusive, if unshared) permission."""
+        """Update of a different type than the line's update-only op (U6).
+
+        Updates of different commutative types do not commute: the directory
+        performs a full reduction (the type switch through the NN transient
+        of Fig. 7b), then grants update-only permission for the new type.
+        U1-U5 are the shared MESI-family transaction shapes.
+        """
         outcome = AccessOutcome()
         breakdown = outcome.latency
         breakdown.l1 += self._l1_latency
         breakdown.l2 += self._l2_latency
-        chip = self._chip(core_id)
-        entry = self.directory.entry(line_addr)
         self.interconnect.record_one(MessageType.GET_UPDATE, LinkScope.ON_CHIP)
         self.stat_update_grants += 1
-
-        if entry.mode is LineMode.UNCACHED:
-            # Unshared: grant M directly (the E-like optimisation of Fig. 6).
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            self._serialize_at_home(line_addr, now, breakdown, self.LIGHT_OCCUPANCY, entry)
-            self.directory.grant_exclusive(line_addr, core_id)
-            self._set_state(core_id, line_addr, StableState.MODIFIED)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-            return outcome
-
-        if entry.mode is LineMode.EXCLUSIVE:
-            owner = entry.exclusive_owner()
-            if owner == core_id:
-                # Our own copy: commutative updates proceed in M locally.
-                self._set_state(core_id, line_addr, StableState.MODIFIED)
-                return outcome
-            # Downgrade the owner from M to U; both caches become updaters.
-            owner_chip = self._chip(owner)
-            scope = LinkScope.OFF_CHIP if owner_chip != chip else LinkScope.ON_CHIP
-            latency = self._l2_latency + 2 * self._onchip_hop
-            if owner_chip != chip:
-                transfer = self._chip_rt(chip, owner_chip, self.current_time)
-                latency += transfer
-                breakdown.offchip_network += transfer
-                breakdown.l4 += self._l4_latency
-            breakdown.l4_invalidations += latency
-            self.interconnect.record_one(MessageType.DOWNGRADE, scope)
-            self.interconnect.record_one(MessageType.DATA_WRITEBACK, scope)
-            self._serialize_at_home(line_addr, now, breakdown, latency)
-            self.stat_downgrades += 1
-            # The owner's data is written back to the shared cache; the owner
-            # keeps an update-only copy initialised to the identity element.
-            self._l3_caches[owner_chip].insert(line_addr)
-            self.directory.clear_all_sharers(line_addr)
-            self.directory.grant_update_only(line_addr, owner, op)
-            self.directory.grant_update_only(line_addr, core_id, op)
-            self._set_state(owner, line_addr, StableState.UPDATE)
-            self._set_state(core_id, line_addr, StableState.UPDATE)
-            self._buffer_for(owner, line_addr, op)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.GRANT_NO_DATA, LinkScope.ON_CHIP)
-            return outcome
-
-        if entry.mode is LineMode.READ_ONLY:
-            # Invalidate all read-only copies, then grant update-only.
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            count = self._invalidate_sharers(core_id, line_addr, set(entry.sharers), breakdown)
-            outcome.invalidations += count
-            occupancy = breakdown.l4_invalidations + self.LIGHT_OCCUPANCY
-            self._serialize_at_home(line_addr, now, breakdown, occupancy, entry)
-            self.directory.clear_all_sharers(line_addr)
-            self.directory.grant_update_only(line_addr, core_id, op)
-            self._set_state(core_id, line_addr, StableState.UPDATE)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.GRANT_NO_DATA, LinkScope.ON_CHIP)
-            return outcome
-
-        # entry.mode is UPDATE_ONLY
-        if entry.op is not op:
-            # Updates of different commutative types do not commute: perform a
-            # full reduction (type switch through the NN transient in Fig. 7b).
-            partials, latency = self._full_reduction(core_id, line_addr, breakdown)
-            outcome.invalidations += partials
-            outcome.full_reduction = True
-            self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
-        else:
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            self._serialize_at_home(line_addr, now, breakdown, self.LIGHT_OCCUPANCY, entry)
+        partials, latency = self._full_reduction(core_id, line_addr, breakdown)
+        outcome.invalidations += partials
+        outcome.full_reduction = True
+        self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
         self.directory.grant_update_only(line_addr, core_id, op)
         self._set_state(core_id, line_addr, StableState.UPDATE)
         self._fill_private(core_id, line_addr)
@@ -366,22 +306,25 @@ class MeusiProtocol(MesiProtocol):
         now: float,
     ) -> AccessOutcome:
         access_type = access.access_type
+        entry = self.directory.peek(line_addr)
         if (
             access_type is AccessType.COMMUTATIVE_UPDATE
             or access_type is AccessType.REMOTE_UPDATE
         ):
-            if level is None:
-                self._private_level(core_id, line_addr)
-            self.current_time = now
-            outcome = self._update_transaction(core_id, line_addr, access.op, now)
-            new_state = self.core_states[core_id].get(line_addr)
-            if new_state is StableState.EXCLUSIVE or new_state is StableState.MODIFIED:
-                self._functional_update(access)
-            else:
+            if (
+                entry is not None
+                and entry.mode is LineMode.UPDATE_ONLY
+                and entry.op is not access.op
+            ):
+                if level is None:
+                    self._private_level(core_id, line_addr)
+                self.current_time = now
+                outcome = self._cross_op_update(core_id, line_addr, access.op, now)
                 self._apply_local_update(core_id, access)
-            return outcome
+                return outcome
+            # U1-U5: the shared transaction shapes (GetU under local folding).
+            return self._resolve_transaction(core_id, access, line_addr, state, level, now)
 
-        entry = self.directory.peek(line_addr)
         if entry is not None and entry.mode is LineMode.UPDATE_ONLY:
             self.current_time = now
             return self._demand_on_update_mode_line(
@@ -403,7 +346,7 @@ class MeusiProtocol(MesiProtocol):
             # safety-net cases above, or the compatibility path): run the
             # full base-class resolution, which probes exactly once.
             return MesiProtocol.access_hot(self, core_id, access, now)
-        return MesiProtocol.resolve_slow(self, core_id, access, line_addr, state, level, now)
+        return self._resolve_transaction(core_id, access, line_addr, state, level, now)
 
     def _demand_on_update_mode_line(
         self,
@@ -413,49 +356,47 @@ class MeusiProtocol(MesiProtocol):
         line_addr: int,
         now: float,
     ) -> AccessOutcome:
-        """Read or write request to a line currently in update-only mode."""
-        if access_type is AccessType.LOAD:
-            # Reads of a line in update-only mode trigger a full reduction.
-            outcome = AccessOutcome()
-            breakdown = outcome.latency
-            breakdown.l1 += self._l1_latency
-            breakdown.l2 += self._l2_latency
-            self.interconnect.record_one(MessageType.GET_SHARED, LinkScope.ON_CHIP)
-            chip = self._chip(core_id)
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            partials, latency = self._full_reduction(core_id, line_addr, breakdown)
-            outcome.invalidations += partials
-            outcome.full_reduction = True
-            self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
-            self.directory.grant_shared(line_addr, core_id)
-            self._set_state(core_id, line_addr, StableState.SHARED)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-            outcome.value = self._functional_load(access)
-            return outcome
+        """Read or write request to a line currently in update-only mode.
 
-        # Writes need M: reduce first, then take exclusive ownership.
+        Either triggers a full reduction; a read is then granted S, a write
+        (store or atomic) takes exclusive ownership.
+        """
+        is_load = access_type is AccessType.LOAD
         outcome = AccessOutcome()
         breakdown = outcome.latency
         breakdown.l1 += self._l1_latency
         breakdown.l2 += self._l2_latency
-        self.interconnect.record_one(MessageType.GET_EXCLUSIVE, LinkScope.ON_CHIP)
-        chip = self._chip(core_id)
-        self._ensure_shared_levels(chip, line_addr, breakdown)
+        self.interconnect.record_one(
+            MessageType.GET_SHARED if is_load else MessageType.GET_EXCLUSIVE,
+            LinkScope.ON_CHIP,
+        )
+        (
+            breakdown.l3,
+            breakdown.offchip_network,
+            breakdown.l4,
+            breakdown.main_memory,
+        ) = self._ensure_shared_levels(
+            self, self._chip(core_id), line_addr, now,
+            breakdown.l3, breakdown.offchip_network, breakdown.l4, breakdown.main_memory,
+        )
         partials, latency = self._full_reduction(core_id, line_addr, breakdown)
         outcome.invalidations += partials
         outcome.full_reduction = True
         self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
-        self.directory.clear_all_sharers(line_addr)
-        self.directory.grant_exclusive(line_addr, core_id)
-        self._set_state(core_id, line_addr, StableState.MODIFIED)
+        if is_load:
+            self.directory.grant_shared(line_addr, core_id)
+            self._set_state(core_id, line_addr, StableState.SHARED)
+        else:
+            self.directory.grant_exclusive(line_addr, core_id)
+            self._set_state(core_id, line_addr, StableState.MODIFIED)
         self._fill_private(core_id, line_addr)
         self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
         if access_type is AccessType.STORE:
             self._functional_store(access)
-        else:
+            return outcome
+        if not is_load:
             self._functional_update(access)
-            outcome.value = self._functional_load(access)
+        outcome.value = self._functional_load(access)
         return outcome
 
     def _hit_value(self, access: MemoryAccess):

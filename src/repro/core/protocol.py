@@ -31,7 +31,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
 #: :attr:`CoherenceProtocol.SLOW_SHAPE_TABLE` codes.  ``SHAPE_FAST`` marks a
-#: (mode, kind) pair the engine retires through its flattened group path;
+#: (mode, kind) pair the engine's group-retirement merge may retire;
 #: ``SHAPE_OP_DEPENDENT`` marks a pair that is fast only when the access's op
 #: matches the directory entry's op (COUP's same-op U-line joins); and
 #: ``SHAPE_CONFLICT`` marks a true conflict (ownership hand-offs the engine
@@ -85,9 +85,12 @@ class CoherenceProtocol(abc.ABC):
 
     #: Whether the batched kernel's group-retirement stage may hand this
     #: engine stretches of consecutive pending slow accesses via
-    #: :meth:`resolve_slow_batch`.  Engines that set this True MUST implement
-    #: :meth:`resolve_slow_batch`; engines that leave it False must not
-    #: (repro-lint P202 checks the flag <=> method-presence contract).
+    #: ``resolve_slow_batch`` (contract: :meth:`MesiProtocol.resolve_slow_batch`),
+    #: on every run — contention-enabled ones included, because the merge
+    #: charges off-chip latency through the same hooks as ``resolve_slow``.
+    #: Engines that set this True MUST implement ``resolve_slow_batch``;
+    #: engines that leave it False must not (repro-lint P202 checks the
+    #: flag <=> method-presence contract).
     SUPPORTS_SLOW_BATCH: bool = False
 
     #: Independence classification of (directory mode, access kind) pairs for
@@ -126,6 +129,9 @@ class CoherenceProtocol(abc.ABC):
         # chip -> L4), and ``self._chip_rt(src, dst, now)`` for a chip <->
         # chip transfer.  All three L4 kinds share one base latency; they
         # differ only in the bytes the contention model occupies links with.
+        # Every off-chip charge on every execution path (scalar loop, kernel
+        # boundary, group merge) goes through these attributes, read at call
+        # time, so rebinding them after construction reprices every path.
         # With contention disabled every hook is a pure table lookup (under
         # the default dancehall every entry equals the original fixed
         # constants, so results are bit-identical to the pre-topology
@@ -273,38 +279,6 @@ class CoherenceProtocol(abc.ABC):
         """
         raise NotImplementedError
 
-    def slow_batch_ready(self) -> bool:
-        """Whether group retirement may run for this engine *this run*.
-
-        :attr:`SUPPORTS_SLOW_BATCH` is the static participation flag; this is
-        the per-run precondition.  The flattened retirement paths replicate
-        the contention-free latency tables, so a run with the interconnect
-        contention model enabled (epoch state mutated per off-chip hook call)
-        must take the scalar ``resolve_slow`` path for every slow access.
-
-        Engines that set :attr:`SUPPORTS_SLOW_BATCH` implement
-        ``resolve_slow_batch(slot_cores, slot_codes, slot_addrs, slot_gaps,
-        slot_deltas, slot_cursor, slot_limit, slot_clock, slot_stats,
-        slot_dirty, streak_cap)``: a k-way merge over one slot per runnable
-        core (raw column objects plus a cursor/limit/clock triple each) that
-        retires accesses in the **canonical order** — the exact ascending
-        ``(clock, core id)`` order of the scalar scheduler's heap — until
-        every live slot is *parked* on a conflict-shaped access and the
-        earliest parked event is next in that order, or ``streak_cap``
-        consecutive private hits retire.  Parking happens *before* any
-        mutation for the parked access.  The engine writes retired
-        cursors/clocks back into the slot lists, sets
-        ``slot_dirty[s]`` for any slot whose private-cache **membership**
-        changed (fills, evictions, promotions — L1-hit LRU refreshes do not
-        count), and returns ``(retired, n_slow, n_parked)``.  Every retired
-        access must be bit-identical — same statistics, directory/cache
-        mutations, traffic, and functional values — to what the scalar
-        loop's probe + ``resolve_slow`` sequence would have produced at the
-        same position, and touched (core, line) pairs must be reported
-        through :attr:`touched_cores` exactly as the scalar path does.
-        """
-        return self.SUPPORTS_SLOW_BATCH and self.interconnect.contention is None
-
     def hot_mask(
         self,
         kinds: np.ndarray,
@@ -385,10 +359,13 @@ class CoherenceProtocol(abc.ABC):
         hit) but with the overwhelmingly common L1 hit resolved without any
         intermediate calls.  Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
 
-        WARNING: this probe is intentionally hand-duplicated in THREE places
-        for speed — here, ``CacheHierarchy.private_lookup_level``, and the
-        inline block in ``MulticoreSimulator.run``.  Any change to probe
-        semantics must be applied to all three; the golden-equivalence suite
+        WARNING: this probe is intentionally hand-duplicated for speed in
+        four places — here, the scalar loop
+        (``MulticoreSimulator._run_columnar_scalar``), the kernel's boundary
+        path (``BatchedKernel._execute_one``), and the group merge's hit probe
+        (``MesiProtocol.resolve_slow_batch``).  Any change to probe semantics
+        must be applied to all four (and to the reference form
+        ``CacheHierarchy.private_lookup_level``); the golden-equivalence suite
         (tests/sim/test_golden_equivalence.py) catches divergence.
         """
         l1 = self._l1_caches[core_id]

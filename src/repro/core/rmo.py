@@ -24,7 +24,6 @@ from repro.core.protocol import SHAPE_CONFLICT, AccessOutcome
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
-from repro.sim.stats import LatencyBreakdown
 
 
 class RmoProtocol(MesiProtocol):
@@ -71,7 +70,9 @@ class RmoProtocol(MesiProtocol):
         # stays authoritative (first update to a line only).
         entry = self.directory.peek(line_addr)
         if entry is not None and entry.sharers:
-            count = self._invalidate_sharers(core_id, line_addr, set(entry.sharers), breakdown)
+            breakdown.l4_invalidations, count = self._invalidate_sharers(
+                self, core_id, line_addr, entry, now, breakdown.l4_invalidations
+            )
             self._invalidate_requester_copy(core_id, line_addr)
             outcome.invalidations += count
             self.directory.clear_all_sharers(line_addr)
@@ -142,4 +143,4 @@ class RmoProtocol(MesiProtocol):
             # Remote updates bypass the private hierarchy entirely; no probe.
             self.current_time = now
             return self._remote_update(core_id, access, now)
-        return MesiProtocol.resolve_slow(self, core_id, access, line_addr, state, level, now)
+        return self._resolve_transaction(core_id, access, line_addr, state, level, now)

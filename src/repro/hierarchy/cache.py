@@ -111,7 +111,7 @@ class SetAssociativeCache:
         return cache_set.get(line_addr) if cache_set is not None else None
 
     def probe_parts(self) -> Tuple[Dict[int, Dict[int, CacheLineInfo]], int]:
-        """``(sets, num_sets)`` for hoisted inline probes (flattened engines).
+        """``(sets, num_sets)`` for hoisted inline probes (the group merge).
 
         The retirement engines resolve millions of lookups per run, so they
         hoist the set dictionary and modulus once and inline the two-step

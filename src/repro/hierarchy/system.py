@@ -70,14 +70,12 @@ class CacheHierarchy:
         """Check the core's L1 then L2; refresh LRU on a hit.
 
         Returns 1 for an L1 hit, 2 for an L2 hit, 0 for a private miss.  This
-        is the hot-path form used by the protocol engines: it performs exactly
-        the same lookups, statistics updates, and L1 refills as
-        :meth:`private_lookup` but avoids allocating a result object.
-
-        WARNING: faster hand-inlined twins of this probe live in
-        ``CoherenceProtocol._private_level`` and the inline block in
-        ``MulticoreSimulator.run``; any semantic change here must be applied
-        to all three (the golden-equivalence suite catches divergence).
+        is the reference form of the probe, reached through
+        :meth:`private_lookup`; the engines and simulator loops run faster
+        hand-inlined copies of it, listed in the WARNING of
+        ``CoherenceProtocol._private_level``.  Any semantic change here must
+        be applied to every copy (the golden-equivalence suite catches
+        divergence).
 
         An L2 hit also fills the L1 (possibly evicting an L1 victim, which is
         harmless here because the L2 is inclusive of the L1).

@@ -319,9 +319,11 @@ class StateAlphabetRule(Rule):
     """P203: engines may only name states in their declared alphabet.
 
     ``rmo.py`` and ``mesi.py`` implement MESI-family semantics and must not
-    grow references to COUP's ``UPDATE`` state (the two places where
-    ``mesi.py``'s shared machinery services MEUSI's U lines via inheritance
-    carry audited suppressions); ``meusi.py`` may use the full alphabet.
+    grow references to COUP's ``UPDATE`` state; ``meusi.py`` may use the
+    full alphabet.  ``mesi.py`` names it exactly once, under an audited
+    suppression: the module constant through which its shared machinery —
+    the inline fast path, the group merge and the GetU transaction shapes
+    MEUSI inherits — services U lines.
     """
 
     code = "P203"

@@ -155,7 +155,8 @@ _VK_LUT = np.array(CODE_VALUE_KIND, dtype=np.uint8)
 #: dispatch: 0=LOAD, 1=STORE, 2=ATOMIC_RMW, 3=COMMUTATIVE, 4=REMOTE.
 KIND_LOAD, KIND_STORE, KIND_ATOMIC, KIND_COMMUTATIVE, KIND_REMOTE = range(5)
 
-_KIND_OF_TYPE = {
+#: AccessType -> ``KIND_*`` slot (the protocol engines' transaction dispatch).
+KIND_OF_TYPE = {
     AccessType.LOAD: KIND_LOAD,
     AccessType.STORE: KIND_STORE,
     AccessType.ATOMIC_RMW: KIND_ATOMIC,
@@ -166,7 +167,7 @@ _KIND_OF_TYPE = {
 #: NumPy lookup table: code -> access kind (``KIND_*``), for the batched
 #: kernel's vectorized classification (`kinds = CODE_KIND[codes]`).
 CODE_KIND = np.array(
-    [_KIND_OF_TYPE[access_type] for access_type in CODE_ACCESS_TYPE], dtype=np.uint8
+    [KIND_OF_TYPE[access_type] for access_type in CODE_ACCESS_TYPE], dtype=np.uint8
 )
 
 #: Sentinel for "no commutative op" in :data:`CODE_OP_INDEX`.

@@ -464,9 +464,9 @@ class BatchedKernel:
         # Group retirement (slow-path batching): engines that declare
         # independence-classified transaction shapes retire whole stretches
         # of the simulation — all runnable cores merged in exact
-        # (clock, core_id) heap order — in one flattened call, with the
+        # (clock, core_id) heap order — in one merged call, with the
         # vectorized directory mirror gating entry (see _retire_fleet).
-        self._slow_batch = protocol.slow_batch_ready()
+        self._slow_batch = protocol.SUPPORTS_SLOW_BATCH
         if self._slow_batch:
             protocol.slow_batch_begin(
                 self._cpi, self._atomic_overhead, self._commutative_overhead
@@ -1413,7 +1413,7 @@ class BatchedKernel:
             # other parked event is independence-classified too, hand the
             # whole fleet of runnable cores to the engine's k-way merge,
             # which replays the exact (clock, core_id) heap order across
-            # them in one flattened call (see _retire_fleet).
+            # them in one merged call (see _retire_fleet).
             if self._slow_batch:
                 if self._fleet_cooldown > 0:
                     self._fleet_cooldown -= 1

@@ -1,9 +1,9 @@
 """Benchmark: telemetry overhead across REPRO_OBS modes.
 
-The obs subsystem instruments the batched kernel's slow paths (stint
-transitions, merge-gate verdicts, boundary phases) and promises to be
-invisible when disabled.  This benchmark guards that promise on a small
-paper grid (histogram workload, MESI + COUP):
+The obs subsystem instruments the simulator's execution paths (kernel and
+retire-loop stints, accesses retired per path, kernel window
+classification) and promises to be invisible when disabled.  This benchmark
+guards that promise on a small paper grid (histogram workload, MESI + COUP):
 
 * **disabled overhead** — ``counters`` mode vs. ``off``.  ``off`` costs one
   attribute load and an ``is None`` test per instrumented slow-path site;

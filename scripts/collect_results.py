@@ -224,8 +224,9 @@ def collect_obs_profile(obs_dir: str) -> dict | None:
 
     A ``REPRO_OBS=full`` campaign leaves JSONL event segments under the obs
     directory (``REPRO_OBS_DIR``, default ``results/obs``); this folds them
-    into the top boundary-phase costs plus bail-reason and merge-gate counter
-    groups.  Telemetry is strictly optional: a missing or empty directory
+    into the top phase costs plus the per-path split (accesses retired by
+    kernel hit-runs and by the retire loop, and each path's stints).
+    Telemetry is strictly optional: a missing or empty directory
     (every ``REPRO_OBS=off`` run) returns ``None`` and the summary simply
     omits the section.
     """

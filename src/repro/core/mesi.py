@@ -15,9 +15,9 @@ line's home until it completes, so concurrent atomics to a hot line queue up.
 
 Every MESI-family transaction shape — GetS (R1-R3), GetX/upgrade (W1-W3) and
 COUP's GetU grants (U1-U5, used by MEUSI) — exists once, in the functions
-:func:`_transaction_shapes` builds per engine.  The scalar ``resolve_slow``
-and the group-retirement merge ``resolve_slow_batch`` both call them, so the
-two execution paths cannot drift apart.
+:func:`_transaction_shapes` builds per engine.  ``resolve_slow`` and the
+simulator's retire loop ``resolve_slow_batch`` both call them, so the two
+entry points cannot drift apart.
 """
 
 from __future__ import annotations
@@ -25,25 +25,20 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.directory import DirectoryEntry
-from repro.core.protocol import (
-    SHAPE_CONFLICT,
-    SHAPE_FAST,
-    AccessOutcome,
-    CoherenceProtocol,
-)
+from repro.core.protocol import AccessOutcome, CoherenceProtocol
 from repro.core.states import LineMode, StableState
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, LatencyBreakdown
 
-#: Code-table twins used by the group-retirement loop (Python-int indexed).
+#: Code-table twins used by the retire loop (Python-int indexed).
 from repro.sim.columnar import (
+    CODE_ACCESS_TYPE,
     CODE_KIND,
     CODE_OP,
+    CODE_SIZE,
     CODE_VALUE_KIND,
     KIND_OF_TYPE,
     decode_value,
@@ -52,12 +47,12 @@ from repro.sim.columnar import (
 _KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
 
 #: Accesses materialized (ndarray slice -> Python list) per slot per refill in
-#: the group-retirement merge; bounds peak list memory at a few KiB per core.
-_FLEET_CHUNK = 512
+#: the retire loop; bounds peak list memory at a few KiB per core.
+_RETIRE_CHUNK = 512
 
-#: COUP's update-only state.  The MESI-family fast path, merge and GetU
-#: shapes below service MEUSI's U lines via inheritance; plain MESI and RMO
-#: never enter it.
+#: COUP's update-only state.  The MESI-family retire loop and GetU shapes
+#: below service MEUSI's U lines via inheritance; plain MESI and RMO never
+#: enter it.
 # repro-lint: disable=P203(shared MESI-family machinery services MEUSI U lines via inheritance; plain MESI never reaches this state)
 _UPDATE = StableState.UPDATE
 
@@ -70,8 +65,8 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
     never over the engine itself: each takes it as its first argument
     ``eng`` and reads through it only what may change while it lives — the
     off-chip latency hooks (``_l4_rt``, ``_l4_control_rt``, ``_chip_rt``,
-    rebindable after construction), ``current_time``, ``touched_cores``,
-    the aggregate statistics, and the eviction and delta-buffer methods a
+    rebindable after construction), ``current_time``, the aggregate
+    statistics, and the eviction and delta-buffer methods a
     subclass overrides.  A closure over the engine would be a reference
     cycle that keeps every finished engine alive until a full garbage
     collection.  The traffic counters are read through the interconnect at
@@ -193,7 +188,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
         traffic = interconnect.traffic
         mbt = traffic.messages_by_type
         bbt = traffic.bytes_by_type
-        touched = eng.touched_cores
         for core in victims:
             states = core_states[core]
             size = s_inv
@@ -212,8 +206,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
             mbt[l_inv] += 1
             bbt[l_inv] += s_inv
             private_invalidate(core, line_addr)
-            if touched is not None:
-                touched.add((core, line_addr))
             states.pop(line_addr, None)
             remove_sharer(line_addr, core)
         eng.stat_invalidations += len(victims)
@@ -241,7 +233,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
         eng.current_time = now
         chip = chip_of[core_id]
         states = core_states[core_id]
-        touched = eng.touched_cores
         traffic = interconnect.traffic
         mbt = traffic.messages_by_type
         bbt = traffic.bytes_by_type
@@ -266,8 +257,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
             eng.stat_update_grants += 1
             if mode is M_EXCLUSIVE and next(iter(entry.sharers)) == core_id:
                 # U2: our own copy absorbs the update in M.
-                if touched is not None:
-                    touched.add((core_id, line_addr))
                 states[line_addr] = MOD
                 if track and value is not None:
                     image[address] = op.apply(image.get(address, op.identity), value)
@@ -316,8 +305,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
                 entry.mode = M_EXCLUSIVE
                 entry.sharers = {core_id}
                 entry.op = None
-                if touched is not None:
-                    touched.add((core_id, line_addr))
                 states[line_addr] = MOD
                 victim = fill_victim(core_id, line_addr)
                 if victim is not None:
@@ -332,8 +319,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
                 entry.mode = M_UPDATE_ONLY
                 entry.sharers = {owner, core_id}
                 entry.op = op
-                if touched is not None:
-                    touched.add((owner, line_addr))
                 core_states[owner][line_addr] = UPD
             elif mode is M_READ_ONLY:
                 entry.mode = M_UPDATE_ONLY
@@ -341,8 +326,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
                 entry.op = op
             else:
                 grant_update_only(line_addr, core_id, op)
-            if touched is not None:
-                touched.add((core_id, line_addr))
             states[line_addr] = UPD
             if mode is M_EXCLUSIVE:
                 eng._buffer_for(owner, line_addr, op)
@@ -386,8 +369,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
                 entry.mode = M_READ_ONLY
                 entry.sharers = {owner, core_id}
                 entry.op = None
-                if touched is not None:
-                    touched.add((owner, line_addr))
                 core_states[owner][line_addr] = SHR
                 invalidations = 1
                 grant = SHR
@@ -411,8 +392,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
             if wait > 0:
                 b8 += wait
             entry.busy_until = start + occupancy
-            if touched is not None:
-                touched.add((core_id, line_addr))
             states[line_addr] = grant
             victim = fill_victim(core_id, line_addr)
             if victim is not None:
@@ -449,8 +428,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
             l3_caches[chip].insert(line_addr)
             occupancy = lat
             private_invalidate(owner, line_addr)
-            if touched is not None:
-                touched.add((owner, line_addr))
             core_states[owner].pop(line_addr, None)
             eng.stat_invalidations += 1
             invalidations = 1
@@ -478,8 +455,6 @@ def _transaction_shapes(engine: "MesiProtocol") -> Tuple[Callable[..., Any], ...
         entry.mode = M_EXCLUSIVE
         entry.sharers = {core_id}
         entry.op = None
-        if touched is not None:
-            touched.add((core_id, line_addr))
         states[line_addr] = MOD
         victim = fill_victim(core_id, line_addr)
         if victim is not None:
@@ -501,39 +476,12 @@ class MesiProtocol(CoherenceProtocol):
     """Full-map directory MESI with the Table 1 four-level hierarchy."""
 
     name = "MESI"
-    SUPPORTS_INLINE_FAST_PATH = True
-    #: The batched columnar kernel may classify chunks against this engine's
-    #: tables (the generic ``CoherenceProtocol.hot_mask`` implements the MESI
-    #: family's rules; MEUSI and RMO inherit both flag and mask).
-    SUPPORTS_BATCH_KERNEL = True
     HOT_COMMUTATIVE = "atomic"
-    #: The group-retirement stage may retire stretches of this engine's slow
-    #: accesses through :meth:`resolve_slow_batch` (the same transaction
-    #: shapes as ``resolve_slow``, replayed in the scalar heap order).
-    SUPPORTS_SLOW_BATCH = True
-
-    #: Independence classification (mode x kind).  MESI folds commutative and
-    #: remote updates into atomic RMWs, and the merge retires every
-    #: stable-mode transaction shape, so all reachable pairs are fast; the
-    #: update-only row is unreachable under plain MESI and marked conflict
-    #: defensively.
-    SLOW_SHAPE_TABLE = np.array(
-        [
-            [SHAPE_FAST] * 5,      # UNCACHED: cold fills / grants
-            [SHAPE_FAST] * 5,      # EXCLUSIVE: downgrades / ownership transfer
-            [SHAPE_FAST] * 5,      # READ_ONLY: joins / upgrades+invalidation
-            [SHAPE_CONFLICT] * 5,  # UPDATE_ONLY: never entered by MESI
-        ],
-        dtype=np.uint8,
-    )
 
     #: Per-sharer serialization when the home must invalidate several caches.
     PER_SHARER_INVAL_CYCLES = 2.0
     #: Directory bookkeeping occupancy for transactions with no remote action.
     LIGHT_OCCUPANCY = 2.0
-
-    #: Core-model constants, installed by the kernel via :meth:`slow_batch_begin`.
-    _batch_core_params: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         super().__init__(config, track_values=track_values)
@@ -556,16 +504,7 @@ class MesiProtocol(CoherenceProtocol):
 
     def _set_state(self, core_id: int, line_addr: int, state: StableState) -> None:
         # Slow-path stable-state mutations outside the transaction shapes
-        # funnel through here; the shapes write ``core_states`` directly and
-        # report touched pairs the same way, and the simulator's inline hit
-        # paths write it only for E->M upgrades, which no batch
-        # classification depends on.
-        # When the batched kernel runs, it registers a set to learn which
-        # (core, line) pairs a transaction touched so it can repair their
-        # tag mirrors incrementally and invalidate chunk classifications.
-        touched = self.touched_cores
-        if touched is not None:
-            touched.add((core_id, line_addr))
+        # funnel through here; the shapes write ``core_states`` directly.
         if state is StableState.INVALID:
             self.core_states[core_id].pop(line_addr, None)
         else:
@@ -654,11 +593,11 @@ class MesiProtocol(CoherenceProtocol):
     def access_hot(self, core_id: int, access: MemoryAccess, now: float):
         """Resolve one access; private hits return just the hit level (1/2).
 
-        This is the simulator's per-access entry point.  The private-hit fast
-        path performs the same lookups, LRU refreshes, state transitions, and
-        functional updates as the transaction path's hit handling used to,
-        but skips every allocation (no outcome, no breakdown): the caller
-        charges the fixed L1/L2 hit latency itself.
+        The object-form entry point behind :meth:`access` (the simulator
+        itself runs :meth:`resolve_slow_batch`).  Private hits perform the
+        same lookups, LRU refreshes, state transitions and functional
+        updates as the retire loop's inline hit rules and skip every
+        allocation: the caller charges the fixed L1/L2 hit latency itself.
         """
         line_addr = access.address >> self._line_shift
         access_type = access.access_type
@@ -735,11 +674,7 @@ class MesiProtocol(CoherenceProtocol):
             outcome.value = self._functional_load(access)
         return outcome
 
-    # ------------------------------------------------- group retirement (batch)
-
-    def slow_batch_begin(self, cpi: float, atomic_overhead: float, commutative_overhead: float) -> None:
-        """Receive the core-model constants the retirement loop charges."""
-        self._batch_core_params = (cpi, atomic_overhead, commutative_overhead)
+    # ------------------------------------------------------------ retire loop
 
     def resolve_slow_batch(
         self,
@@ -752,48 +687,41 @@ class MesiProtocol(CoherenceProtocol):
         slot_limit: List[int],
         slot_clock: List[float],
         slot_stats: List[CoreStats],
-        slot_dirty: List[bool],
+        core_params: Tuple[float, float, float],
         streak_cap: int,
     ) -> Tuple[int, int, int]:
-        """Group-retire the pending accesses of many cores in one merged call.
+        """The retire loop: the simulator's per-access loop over many cores.
 
-        The batched kernel calls this whenever :attr:`SUPPORTS_SLOW_BATCH`
-        holds, with one slot per runnable core: ``slot_codes`` /
-        ``slot_addrs`` / ``slot_gaps`` / ``slot_deltas`` hold the full
-        per-core trace columns, ``slot_cursor`` / ``slot_limit`` the
-        half-open index range still to retire, and ``slot_clock`` the core
-        clock at the cursor.  The loop retires accesses in the **canonical
-        order** — the exact ascending ``(clock, core id)`` order of the
-        scalar scheduler's heap — with a k-way merge: each step retires one
-        access of the earliest slot, so the interleaving is bit-identical to
-        the scalar heap by construction, while the per-event interpreter
-        cost (window re-extraction, classification, mirror repair, heap
-        churn) is amortized over whole stretches.  Hits retire inline with
-        the same hand-duplicated probe as the scalar loops; slow accesses
-        run the engine's transaction shapes — the very functions
-        :meth:`resolve_slow` calls — after the same exactly-once probe.
-        Every retired access is therefore bit-identical (statistics,
-        directory and cache mutations, traffic, off-chip hook calls,
-        functional values) to what the scalar loop's probe +
-        ``resolve_slow`` sequence produces at the same position, and
-        touched (core, line) pairs reach :attr:`touched_cores` the same way.
+        One slot per runnable core: ``slot_codes`` / ``slot_addrs`` /
+        ``slot_gaps`` / ``slot_deltas`` hold the full per-core trace
+        columns, ``slot_cursor`` / ``slot_limit`` the half-open index range
+        still to retire (the limit is the core's next phase barrier or trace
+        end), and ``slot_clock`` the core clock at the cursor.
+        ``core_params`` are the core model's ``(cycles per instruction,
+        atomic overhead, commutative overhead)``.  Accesses
+        retire in the **canonical order** — ascending ``(clock, core id)``,
+        ties broken by core id — with a k-way merge: each step retires one
+        access of the earliest slot, and a slot keeps retiring while it stays
+        the earliest.
 
-        A slot whose head access is a true conflict (cross-op update or
-        demand on an update-only line — a reduction trigger — or any update
-        under a ``comm_never`` engine) **parks before any mutation**: its
-        pending event becomes a bound no other slot may retire past, and the
-        merge returns once that event is the earliest remaining, leaving it
-        for the caller's exact one-at-a-time path.  The merge also returns
-        once ``streak_cap`` consecutive hits retire (hit-dense stretches
-        belong to the vectorized window path).
+        Private hits resolve inline against the engine's tables (the probe
+        is hand-duplicated from :meth:`CoherenceProtocol._private_level`).
+        Every other access runs after the same exactly-once probe: a
+        conflict — a cross-op update or a demand on an update-only line
+        (both full reductions), or an update under a ``"never"`` folding
+        engine (RMO's remote update) — materializes its
+        :class:`MemoryAccess` and goes through :meth:`resolve_slow`; the
+        rest call the engine's transaction shapes directly, which is exactly
+        what ``resolve_slow`` would run for them.
 
-        ``slot_cursor`` and ``slot_clock`` are updated in place;
-        ``slot_dirty[s]`` is set when slot ``s``'s private-cache membership
-        changed (L2 promotions, fills, evictions — L1-hit LRU refreshes do
-        not count), i.e. when its tag mirror needs a rebuild.  Returns
-        ``(n_retired, n_slow, n_parked)``.
+        The loop returns when every slot reached its limit, or as soon as
+        ``streak_cap`` consecutive hits retired (``0``: never), handing the
+        hit-dense stretch to the batched kernel.  ``slot_cursor`` and
+        ``slot_clock`` are updated in place.  Returns ``(n_retired, n_slow,
+        n_resolve)``: every access retired, the non-hits among them, and the
+        accesses passed to ``resolve_slow``.
         """
-        cpi, atomic_overhead, commutative_overhead = self._batch_core_params
+        cpi, atomic_overhead, commutative_overhead = core_params
         transaction = self._transaction
         private_level = self._private_level
         # MEUSI-only members (delta buffers, update statistics) are reached
@@ -803,6 +731,9 @@ class MesiProtocol(CoherenceProtocol):
         kind_of = _KIND_OF_CODE
         code_op = CODE_OP
         code_vk = CODE_VALUE_KIND
+        code_type = CODE_ACCESS_TYPE
+        code_size = CODE_SIZE
+        new_access = MemoryAccess.__new__
         line_shift = self._line_shift
         l1_lat = self._l1_latency
         l2_lat = self._l2_latency
@@ -821,8 +752,9 @@ class MesiProtocol(CoherenceProtocol):
         EXC = StableState.EXCLUSIVE
         UPD = _UPDATE
         M_UPDATE_ONLY = LineMode.UPDATE_ONLY
+        inf = float("inf")
 
-        # -- per-slot object hoists (indexed by merge slot) --------------------
+        # -- per-slot object hoists (indexed by slot) ---------------------------
         n_slots = len(slot_cores)
         a_states = [core_states[cid] for cid in slot_cores]
         a_l1 = [self._l1_caches[cid] for cid in slot_cores]
@@ -849,27 +781,20 @@ class MesiProtocol(CoherenceProtocol):
         ]
         heapq.heapify(heap)
 
-        pk_clock = float("inf")  # earliest parked (conflict) event
-        pk_cid = -1
         retired = 0
         n_slow = 0
-        n_parked = 0
+        n_resolve = 0
         streak = 0
 
         while heap:
             clock, cid, s = heappop(heap)
-            if clock > pk_clock or (clock == pk_clock and cid > pk_cid):
-                # The parked conflict is the next event in heap order: stop
-                # and hand it back for the exact one-at-a-time path.
-                heappush(heap, (clock, cid, s))
-                break
             if heap:
                 head = heap[0]
                 nxt_clock = head[0]
                 nxt_cid = head[1]
             else:
-                nxt_clock = pk_clock
-                nxt_cid = pk_cid
+                nxt_clock = inf
+                nxt_cid = -1
             core_id = cid
             cursor = slot_cursor[s]
             limit = slot_limit[s]
@@ -892,12 +817,12 @@ class MesiProtocol(CoherenceProtocol):
             while True:
                 if cursor >= cend:
                     if cursor >= limit:
-                        # Slot exhausted (phase limit): leaves the merge.
+                        # Slot reached its barrier or trace end: leaves the loop.
                         slot_cursor[s] = cursor
                         slot_clock[s] = clock
                         break
                     base = cursor
-                    cend = cursor + _FLEET_CHUNK
+                    cend = cursor + _RETIRE_CHUNK
                     if cend > limit:
                         cend = limit
                     codes_l = a_codes[s] = slot_codes[s][base:cend].tolist()
@@ -914,37 +839,6 @@ class MesiProtocol(CoherenceProtocol):
                 line_addr = address >> line_shift
                 state = states.get(line_addr)
                 is_comm = kind >= 3
-
-                # -- classification: a true conflict parks before any mutation
-                if is_comm:
-                    if comm_never:
-                        park = True
-                    elif comm_local:
-                        entry = dir_entries.get(line_addr)
-                        # Cross-op update: full reduction (conflict).
-                        park = (
-                            entry is not None
-                            and entry.mode is M_UPDATE_ONLY
-                            and entry.op is not code_op[code]
-                        )
-                    else:
-                        park = False
-                elif comm_local:
-                    entry = dir_entries.get(line_addr)
-                    # Demand on an update-only line: reduction (conflict).
-                    park = (
-                        entry is not None and entry.mode is M_UPDATE_ONLY
-                    ) or state is UPD
-                else:
-                    park = False
-                if park:
-                    slot_cursor[s] = cursor
-                    slot_clock[s] = clock
-                    n_parked += 1
-                    if clock < pk_clock or (clock == pk_clock and cid < pk_cid):
-                        pk_clock = clock
-                        pk_cid = cid
-                    break
 
                 gap = gaps_l[i]
                 if kind == 0:
@@ -965,11 +859,15 @@ class MesiProtocol(CoherenceProtocol):
                 think = gap * cpi
                 issue = clock + think
 
-                # -- inline private probe (same hand-duplicated sequence as the
-                # scalar loops; see CoherenceProtocol._private_level's WARNING)
+                # -- inline private probe, only where a hit is possible under
+                # this engine's rules (see CoherenceProtocol._private_level's
+                # WARNING); anything not probed here is probed exactly once on
+                # the slow path.
                 level = None
                 hit_level = 0
-                if state is not None and (True if is_comm else state is not UPD):
+                if state is not None and (
+                    (not comm_never) if is_comm else (state is not UPD)
+                ):
                     cache_set = l1_sets.get(line_addr % l1_nsets)
                     info = cache_set.get(line_addr) if cache_set is not None else None
                     if info is not None:
@@ -986,7 +884,6 @@ class MesiProtocol(CoherenceProtocol):
                             l2._tick = tick = l2._tick + 1
                             info.last_use = tick
                             l1.insert(line_addr)
-                            slot_dirty[s] = True
                             level = 2
                         else:
                             l2.misses += 1
@@ -1038,10 +935,10 @@ class MesiProtocol(CoherenceProtocol):
                     cursor += 1
                     retired += 1
                     streak += 1
-                    if streak >= streak_cap:
+                    if streak == streak_cap:
                         slot_cursor[s] = cursor
                         slot_clock[s] = clock
-                        return retired, n_slow, n_parked
+                        return retired, n_slow, n_resolve
                     if clock > nxt_clock or (clock == nxt_clock and cid > nxt_cid):
                         slot_cursor[s] = cursor
                         slot_clock[s] = clock
@@ -1049,25 +946,64 @@ class MesiProtocol(CoherenceProtocol):
                         break
                     continue
 
-                # -- slow access: resolve_slow's probe, then its transaction
-                slot_dirty[s] = True
-                if level is None:
-                    # Not probed yet (untracked state): probe exactly once.
-                    private_level(core_id, line_addr)
-                b3, b4, b5, b6, b7, b8, _invalidations = transaction(
-                    self, core_id, kind, code_op[code], address, line_addr, state,
-                    decode_value(code_vk[code], deltas_l[i]) if (track and kind != 0) else None,
-                    issue,
-                )
-                slat.l1 += slow_l1
-                slat.l2 += slow_l2
-                slat.l3 += b3
-                slat.offchip_network += b4
-                slat.l4 += b5
-                slat.l4_invalidations += b6
-                slat.main_memory += b7
-                slat.serialization += b8
-                total = slow_l1 + slow_l2 + b3 + b4 + b5 + b6 + b7 + b8
+                # -- slow access: a conflict goes through resolve_slow, every
+                # other shape straight to the transaction resolve_slow runs.
+                if is_comm:
+                    if comm_never:
+                        conflict = True
+                    elif comm_local:
+                        entry = dir_entries.get(line_addr)
+                        # Cross-op update (U6): full reduction.
+                        conflict = (
+                            entry is not None
+                            and entry.mode is M_UPDATE_ONLY
+                            and entry.op is not code_op[code]
+                        )
+                    else:
+                        conflict = False
+                elif comm_local:
+                    entry = dir_entries.get(line_addr)
+                    # Demand on an update-only line: full reduction.
+                    conflict = (
+                        entry is not None and entry.mode is M_UPDATE_ONLY
+                    ) or state is UPD
+                else:
+                    conflict = False
+                if conflict:
+                    access = new_access(MemoryAccess)
+                    access.access_type = code_type[code]
+                    access.address = address
+                    access.op = code_op[code]
+                    access.value = decode_value(
+                        code_vk[code],
+                        deltas_l[i] if track else int(slot_deltas[s][cursor]),
+                    )
+                    access.think_instructions = int(gap)
+                    access.size_bytes = code_size[code]
+                    result = self.resolve_slow(core_id, access, line_addr, state, level, issue)
+                    total = result.total_latency
+                    slat.add(result.latency)
+                    if result.private_hit:
+                        stats.l1_hits += 1
+                    n_resolve += 1
+                else:
+                    if level is None:
+                        # Not probed yet (untracked state): probe exactly once.
+                        private_level(core_id, line_addr)
+                    b3, b4, b5, b6, b7, b8, _invalidations = transaction(
+                        self, core_id, kind, code_op[code], address, line_addr, state,
+                        decode_value(code_vk[code], deltas_l[i]) if (track and kind != 0) else None,
+                        issue,
+                    )
+                    slat.l1 += slow_l1
+                    slat.l2 += slow_l2
+                    slat.l3 += b3
+                    slat.offchip_network += b4
+                    slat.l4 += b5
+                    slat.l4_invalidations += b6
+                    slat.main_memory += b7
+                    slat.serialization += b8
+                    total = slow_l1 + slow_l2 + b3 + b4 + b5 + b6 + b7 + b8
                 stats.accesses += 1
                 stats.compute_cycles += think + overhead
                 stats.memory_cycles += total
@@ -1083,7 +1019,7 @@ class MesiProtocol(CoherenceProtocol):
                     break
                 # Still the earliest slot: keep retiring its trace in order.
 
-        return retired, n_slow, n_parked
+        return retired, n_slow, n_resolve
 
     def _hit_value(self, access: MemoryAccess):
         """Value a private hit returns through the full :meth:`access` API."""

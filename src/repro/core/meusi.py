@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.commutative import ALL_OPS, CommutativeOp, DeltaBuffer
 
 #: Op -> index in :data:`ALL_OPS`, for the batch-classification contract.
 _OP_INDEX = {op: index for index, op in enumerate(ALL_OPS)}
 from repro.core.mesi import MesiProtocol
-from repro.core.protocol import SHAPE_CONFLICT, SHAPE_FAST, SHAPE_OP_DEPENDENT, AccessOutcome
+from repro.core.protocol import AccessOutcome
 from repro.core.states import LineMode, StableState
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
@@ -43,30 +41,6 @@ class MeusiProtocol(MesiProtocol):
 
     name = "COUP"
     HOT_COMMUTATIVE = "local"
-
-    #: Independence classification (mode x kind: load/store/atomic/comm/remote).
-    #: The merge retires every stable-MESI-mode shape and the GetU grants and
-    #: joins (U1-U5) through the same transaction functions ``resolve_slow``
-    #: runs.  Demand accesses to an update-only line and cross-op updates
-    #: (U6) trigger full reductions — true conflicts that must retire
-    #: through the exact scalar path — so the update-only row is conflict
-    #: for demand kinds and op-dependent (same-op joins only) for
-    #: commutative/remote updates.
-    SLOW_SHAPE_TABLE = np.array(
-        [
-            [SHAPE_FAST] * 5,  # UNCACHED: cold grants (incl. U1)
-            [SHAPE_FAST] * 5,  # EXCLUSIVE: downgrades / U2 / U3
-            [SHAPE_FAST] * 5,  # READ_ONLY: joins / upgrades / U4
-            [
-                SHAPE_CONFLICT,      # load: full reduction
-                SHAPE_CONFLICT,      # store: full reduction
-                SHAPE_CONFLICT,      # atomic: full reduction
-                SHAPE_OP_DEPENDENT,  # commutative: U5 join iff same op
-                SHAPE_OP_DEPENDENT,  # remote (folded commutative)
-            ],
-        ],
-        dtype=np.uint8,
-    )
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         super().__init__(config, track_values=track_values)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,17 +29,6 @@ from repro.interconnect.network import InterconnectModel
 from repro.sim.access import MemoryAccess
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
-
-#: :attr:`CoherenceProtocol.SLOW_SHAPE_TABLE` codes.  ``SHAPE_FAST`` marks a
-#: (mode, kind) pair the engine's group-retirement merge may retire;
-#: ``SHAPE_OP_DEPENDENT`` marks a pair that is fast only when the access's op
-#: matches the directory entry's op (COUP's same-op U-line joins); and
-#: ``SHAPE_CONFLICT`` marks a true conflict (ownership hand-offs the engine
-#: declines, cross-op serialization, reduction triggers) that must fall back
-#: to the exact scalar ``(clock, core_id)`` order through ``resolve_slow``.
-SHAPE_FAST = 0
-SHAPE_OP_DEPENDENT = 1
-SHAPE_CONFLICT = 2
 
 
 @dataclass(slots=True)
@@ -67,40 +56,12 @@ class CoherenceProtocol(abc.ABC):
     #: Human-readable protocol name used in results and experiment tables.
     name: str = "abstract"
 
-    #: Whether the timing simulator may resolve private hits against this
-    #: engine's tables inline (see :meth:`resolve_slow` for the contract).
-    SUPPORTS_INLINE_FAST_PATH: bool = False
-
-    #: Whether the batched columnar kernel (:mod:`repro.sim.kernel`) may
-    #: classify whole chunks of accesses against this engine's tables via
-    #: :meth:`hot_mask` and advance hit-runs without per-access protocol
-    #: calls.  Requires :attr:`SUPPORTS_INLINE_FAST_PATH` (the kernel drops
-    #: into the same inline/`resolve_slow` machinery at run boundaries).
-    SUPPORTS_BATCH_KERNEL: bool = False
-
     #: How the hot path treats commutative/remote updates: ``"atomic"`` folds
     #: them into atomic read-modify-writes (MESI), ``"local"`` applies COUP's
     #: update-only rules (MEUSI), ``"never"`` forces the slow path (RMO).
+    #: The simulator's retire loop (``resolve_slow_batch``) and the batched
+    #: kernel's :meth:`hot_mask` both key their private-hit rules on it.
     HOT_COMMUTATIVE: str = "atomic"
-
-    #: Whether the batched kernel's group-retirement stage may hand this
-    #: engine stretches of consecutive pending slow accesses via
-    #: ``resolve_slow_batch`` (contract: :meth:`MesiProtocol.resolve_slow_batch`),
-    #: on every run — contention-enabled ones included, because the merge
-    #: charges off-chip latency through the same hooks as ``resolve_slow``.
-    #: Engines that set this True MUST implement ``resolve_slow_batch``;
-    #: engines that leave it False must not (repro-lint P202 checks the
-    #: flag <=> method-presence contract).
-    SUPPORTS_SLOW_BATCH: bool = False
-
-    #: Independence classification of (directory mode, access kind) pairs for
-    #: the group-retirement stage, as a 4x5 table of :data:`SHAPE_FAST` /
-    #: :data:`SHAPE_OP_DEPENDENT` / :data:`SHAPE_CONFLICT` codes indexed by
-    #: :data:`repro.core.directory.MODE_UNCACHED`-family mode codes and
-    #: :data:`repro.sim.columnar.CODE_KIND` kinds.  Engines that participate
-    #: override this with their protocol's table; the base marks everything
-    #: a conflict (nothing may be group-retired).
-    SLOW_SHAPE_TABLE: np.ndarray = np.full((4, 5), 2, dtype=np.uint8)
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         self.config = config
@@ -129,9 +90,9 @@ class CoherenceProtocol(abc.ABC):
         # chip -> L4), and ``self._chip_rt(src, dst, now)`` for a chip <->
         # chip transfer.  All three L4 kinds share one base latency; they
         # differ only in the bytes the contention model occupies links with.
-        # Every off-chip charge on every execution path (scalar loop, kernel
-        # boundary, group merge) goes through these attributes, read at call
-        # time, so rebinding them after construction reprices every path.
+        # Every off-chip charge (retire loop, ``resolve_slow``, ``access``)
+        # goes through these attributes, read at call time, so rebinding
+        # them after construction reprices every path.
         # With contention disabled every hook is a pure table lookup (under
         # the default dancehall every entry equals the original fixed
         # constants, so results are bit-identical to the pre-topology
@@ -173,13 +134,6 @@ class CoherenceProtocol(abc.ABC):
         }
         #: Functional memory image: word address -> value.
         self.memory_image: Dict[int, object] = {}
-        #: When the batched kernel runs, this holds a set that every
-        #: cross-core stable-state mutation (``MesiProtocol._set_state``)
-        #: records ``(core_id, line_addr)`` pairs into, so the kernel knows
-        #: which tag-mirror entries and chunk classifications a slow-path
-        #: action invalidated.  ``None`` (the default) disables the
-        #: bookkeeping for the scalar paths.
-        self.touched_cores: Optional[Set] = None
         #: Simulator time of the access currently being resolved; protocol
         #: engines set this at the top of :meth:`access` so internal helpers
         #: (evictions, reductions) can schedule shared resources correctly.
@@ -264,18 +218,17 @@ class CoherenceProtocol(abc.ABC):
         level,
         now: float,
     ) -> AccessOutcome:
-        """Resolve an access the simulator's inline fast path rejected.
+        """Resolve an access the simulator's inline private-hit rules rejected.
 
-        When :attr:`SUPPORTS_INLINE_FAST_PATH` is true, the timing simulator
-        replicates the private-hit rules against this engine's tables
-        (``core_states``, the private cache arrays, and for MEUSI the
-        directory's update-only entries) and only calls this method for
-        accesses that need transaction machinery.  ``state`` is the core's
-        stable state for the line (``None`` if untracked) and ``level`` is
-        the private-lookup result if the simulator already probed the
-        caches — or ``None`` if it did not, in which case the probe must
-        happen here so lookup statistics and LRU state advance exactly once
-        per access.
+        The simulator's retire loop replicates the private-hit rules against
+        this engine's tables (``core_states``, the private cache arrays, and
+        for MEUSI the directory's update-only entries) and only calls this
+        method for accesses that need transaction machinery.  ``state`` is
+        the core's stable state for the line (``None`` if untracked) and
+        ``level`` is the private-lookup result if the simulator already
+        probed the caches — or ``None`` if it did not, in which case the
+        probe must happen here so lookup statistics and LRU state advance
+        exactly once per access.
         """
         raise NotImplementedError
 
@@ -291,9 +244,9 @@ class CoherenceProtocol(abc.ABC):
 
         Given one chunk of a core's columnar trace, return a boolean array
         marking the accesses the engine would satisfy entirely within the
-        core's private L1 with **no** protocol action — exactly the accesses
-        the simulator's inline fast path resolves without calling
-        :meth:`resolve_slow`.  Inputs are parallel arrays over the chunk:
+        core's private L1 with **no** protocol action — exactly the L1 hits
+        among the accesses the simulator's retire loop resolves inline.
+        Inputs are parallel arrays over the chunk:
 
         ``kinds``
             Access kind per :data:`repro.sim.columnar.CODE_KIND`.
@@ -316,8 +269,7 @@ class CoherenceProtocol(abc.ABC):
         remote updates follow the engine's folding rule.  MEUSI's
         update-state lines classify hot only for matching-op buffering;
         everything touching reduction units classifies slow.  Engines with
-        different stable-state semantics must override this together with
-        :attr:`SUPPORTS_BATCH_KERNEL`.
+        different stable-state semantics must override this.
         """
         from repro.hierarchy.cache import (
             STATE_EXCLUSIVE,
@@ -360,11 +312,9 @@ class CoherenceProtocol(abc.ABC):
         intermediate calls.  Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
 
         WARNING: this probe is intentionally hand-duplicated for speed in
-        four places — here, the scalar loop
-        (``MulticoreSimulator._run_columnar_scalar``), the kernel's boundary
-        path (``BatchedKernel._execute_one``), and the group merge's hit probe
+        two places — here and the retire loop's hit probe
         (``MesiProtocol.resolve_slow_batch``).  Any change to probe semantics
-        must be applied to all four (and to the reference form
+        must be applied to both (and to the reference form
         ``CacheHierarchy.private_lookup_level``); the golden-equivalence suite
         (tests/sim/test_golden_equivalence.py) catches divergence.
         """

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.core.mesi import MesiProtocol
-from repro.core.protocol import SHAPE_CONFLICT, AccessOutcome
+from repro.core.protocol import AccessOutcome
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
@@ -33,16 +31,10 @@ class RmoProtocol(MesiProtocol):
     #: Remote/commutative updates always travel to the home bank, so the
     #: batched kernel's hot mask (``HOT_COMMUTATIVE = "never"``) classifies
     #: every update slow; only loads and stores batch into hit-runs.  The
-    #: bank-ALU queue (``_bank_busy_until``) is therefore only touched from
-    #: the globally ordered slow path, which keeps batching bit-identical.
+    #: retire loop sends each update through :meth:`resolve_slow` in the
+    #: canonical order, so the bank-ALU queue (``_bank_busy_until``) is only
+    #: touched in that order, which keeps batching bit-identical.
     HOT_COMMUTATIVE = "never"
-    #: The bank-ALU queue serializes every update at its home bank, and even
-    #: loads/stores can race with `_remote_update`'s requester-copy
-    #: invalidations, so no RMO transaction shape is independent: group
-    #: retirement stays disabled and every slow access takes the exact
-    #: scalar heap order.
-    SUPPORTS_SLOW_BATCH = False
-    SLOW_SHAPE_TABLE = np.full((4, 5), SHAPE_CONFLICT, dtype=np.uint8)
 
     #: Cycles the home bank ALU is occupied per remote update.
     REMOTE_ALU_CYCLES = 4.0

@@ -111,10 +111,10 @@ class SetAssociativeCache:
         return cache_set.get(line_addr) if cache_set is not None else None
 
     def probe_parts(self) -> Tuple[Dict[int, Dict[int, CacheLineInfo]], int]:
-        """``(sets, num_sets)`` for hoisted inline probes (the group merge).
+        """``(sets, num_sets)`` for hoisted inline probes (the retire loop).
 
-        The retirement engines resolve millions of lookups per run, so they
-        hoist the set dictionary and modulus once and inline the two-step
+        The retire loop resolves millions of lookups per run, so it
+        hoists the set dictionary and modulus once and inlines the two-step
         probe (``sets.get(addr % num_sets)`` then ``.get(addr)``) instead of
         paying a method call per access.  Contract for callers: a *hit*
         must replay :meth:`lookup` exactly — increment :attr:`hits`,

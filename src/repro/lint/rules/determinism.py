@@ -45,9 +45,8 @@ _SEEDED_CONSTRUCTORS = frozenset(
      "numpy.random.SeedSequence"}
 )
 
-#: Wall-clock reads.  Only the batched kernel's documented bail heuristic
-#: may consult these inside result-affecting modules (inline-suppressed
-#: there with audited reasons).
+#: Wall-clock reads.  Result-affecting modules may consult these only under
+#: an audited inline suppression; timing goes through the obs registry.
 _WALL_CLOCK = frozenset(
     {
         "time.time",
@@ -220,16 +219,11 @@ class WallClockRule(Rule):
     """D103: no wall-clock reads outside the sanctioned island.
 
     Simulated time is the only clock results may depend on, so
-    result-affecting modules must not read the host clock.  Two sanctioned
-    exceptions exist, each with its own audit trail:
-
-    * the batched kernel's bail heuristic, whose measured-overhead check
-      deliberately reads the host clock *and feeds it only into
-      kernel-vs-scalar dispatch whose two outcomes are bit-identical* —
-      those sites carry audited inline suppressions (the waiver budget);
-    * the telemetry registry, the wall-clock island every timing read in
-      the tree routes through — allowlisted module-by-module in
-      :data:`~repro.lint.context.OBS_WALLCLOCK_MODULES`.
+    result-affecting modules must not read the host clock.  The one
+    sanctioned exception is the telemetry registry, the wall-clock island
+    every timing read in the tree routes through — allowlisted
+    module-by-module in :data:`~repro.lint.context.OBS_WALLCLOCK_MODULES`.
+    Any other site needs an audited inline suppression (the waiver budget).
 
     The rule also scans the rest of ``repro/obs/`` (event writers, the
     report) so telemetry code outside the island cannot quietly grow its

@@ -3,19 +3,18 @@
 These cross-check the three stable-state engines against the state enums
 in :mod:`repro.core.states` and the columnar type-code table, so the
 ROADMAP's aggressive protocol refactors cannot silently drift from the
-contracts the batched kernel and the verification model rely on.
+contracts the simulator and the verification model rely on.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lint.classdb import ClassDb
 from repro.lint.context import (
     ENGINE_STATE_ALPHABET,
     HOT_COMMUTATIVE_VALUES,
-    PROTOCOL_ENGINE_MODULES,
     ProjectContext,
 )
 from repro.lint.engine import Rule, SourceModule
@@ -27,9 +26,9 @@ _HOT_MASK_PROVIDERS = frozenset(
     {"CoherenceProtocol", "MesiProtocol", "MeusiProtocol", "RmoProtocol"}
 )
 
-#: Base classes known to provide the group-retirement merge
+#: Base classes known to provide the retire loop
 #: (:meth:`MesiProtocol.resolve_slow_batch` services the MESI family).
-_SLOW_BATCH_PROVIDERS = frozenset({"MesiProtocol", "MeusiProtocol"})
+_RETIRE_LOOP_PROVIDERS = frozenset({"MesiProtocol", "MeusiProtocol", "RmoProtocol"})
 
 
 class UnknownEnumMemberRule(Rule):
@@ -72,34 +71,25 @@ class UnknownEnumMemberRule(Rule):
 
 
 class BatchContractRule(Rule):
-    """P202: the batched-kernel contract on protocol classes.
+    """P202: the simulator's contract on protocol classes.
 
-    A class opting into ``SUPPORTS_BATCH_KERNEL = True`` must satisfy the
-    contract :mod:`repro.sim.kernel` assumes: an inline fast path, a
-    ``hot_mask`` (own or inherited from the MESI family), a legal
-    ``HOT_COMMUTATIVE`` folding mode, and — for ``"local"`` folding —
-    a ``batch_uop_code`` hook so U-line buffering can be classified per
-    chunk.
-
-    The group-retirement participation flag carries its own biconditional:
-    ``SUPPORTS_SLOW_BATCH = True`` requires a ``resolve_slow_batch`` merge
-    (own or inherited from the MESI family), and a class that *defines*
-    ``resolve_slow_batch`` while declaring ``SUPPORTS_SLOW_BATCH = False``
-    is lying to the kernel's dispatch (the method would never run).  A
-    run-level check additionally verifies the 104-entry columnar type-code
-    table still covers every code the kernel classifies, and that every
-    live ``SUPPORTS_SLOW_BATCH`` engine exposes a callable
-    ``resolve_slow_batch`` plus the 4x5 ``SLOW_SHAPE_TABLE`` the entry
-    gate indexes.
+    Every engine runs under the simulator's retire loop and its batched
+    kernel, so a protocol class — one declaring ``HOT_COMMUTATIVE`` — must
+    provide what they call: a ``hot_mask`` (own or inherited from the MESI
+    family), a ``resolve_slow_batch`` retire loop (own or inherited from
+    the MESI family), a legal ``HOT_COMMUTATIVE`` folding mode, and — for
+    ``"local"`` folding — a ``batch_uop_code`` hook so U-line buffering can
+    be classified per window.  A run-level check additionally verifies the
+    104-entry columnar type-code table still covers every code the kernel
+    classifies, and that every live engine honours the same contract.
     """
 
     code = "P202"
     symbol = "batch-contract"
     description = (
-        "SUPPORTS_BATCH_KERNEL protocols must declare the full batch "
-        "contract (inline fast path, hot_mask, legal HOT_COMMUTATIVE, "
-        "batch_uop_code for local folding, resolve_slow_batch iff "
-        "SUPPORTS_SLOW_BATCH)"
+        "protocol classes must declare the simulator's contract (hot_mask, "
+        "resolve_slow_batch, legal HOT_COMMUTATIVE, batch_uop_code for "
+        "local folding)"
     )
 
     def applies(self, relpath: str) -> bool:
@@ -156,54 +146,27 @@ class BatchContractRule(Rule):
                 )
             )
 
-        slow_batch = flags.get("SUPPORTS_SLOW_BATCH")
-        inherits_slow_batch = bool(base_names & _SLOW_BATCH_PROVIDERS)
+        if hot_commutative is None or "ABC" in base_names:
+            return findings  # not a concrete protocol engine
+        if "hot_mask" not in methods and not base_names & _HOT_MASK_PROVIDERS:
+            findings.append(
+                self.violation(
+                    module,
+                    node,
+                    f"{node.name}: no hot_mask is defined or inherited from "
+                    "the MESI family",
+                )
+            )
         if (
-            slow_batch is True
-            and "resolve_slow_batch" not in methods
-            and not inherits_slow_batch
+            "resolve_slow_batch" not in methods
+            and not base_names & _RETIRE_LOOP_PROVIDERS
         ):
             findings.append(
                 self.violation(
                     module,
                     node,
-                    f"{node.name}: SUPPORTS_SLOW_BATCH=True but no "
-                    "resolve_slow_batch merge is defined or inherited from "
-                    "the MESI family",
-                )
-            )
-        if slow_batch is False and "resolve_slow_batch" in methods:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: defines resolve_slow_batch but declares "
-                    "SUPPORTS_SLOW_BATCH=False — the kernel would never call "
-                    "it; flip the flag or drop the method",
-                )
-            )
-
-        if flags.get("SUPPORTS_BATCH_KERNEL") is not True:
-            return findings
-        inherits_mask = bool(base_names & _HOT_MASK_PROVIDERS)
-        if "hot_mask" not in methods and not inherits_mask:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: SUPPORTS_BATCH_KERNEL=True but no hot_mask "
-                    "is defined or inherited from the MESI family",
-                )
-            )
-        declares_inline = flags.get("SUPPORTS_INLINE_FAST_PATH") is True
-        if not declares_inline and not inherits_mask:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: SUPPORTS_BATCH_KERNEL=True requires "
-                    "SUPPORTS_INLINE_FAST_PATH=True (the kernel drops into the "
-                    "inline/resolve_slow machinery at run boundaries)",
+                    f"{node.name}: no resolve_slow_batch retire loop is "
+                    "defined or inherited from the MESI family",
                 )
             )
         return findings
@@ -265,11 +228,9 @@ class BatchContractRule(Rule):
                 )
             )
         for name, protocol_cls in sorted(PROTOCOLS.items()):
-            if not getattr(protocol_cls, "SUPPORTS_BATCH_KERNEL", False):
-                continue
             problems = []
-            if not getattr(protocol_cls, "SUPPORTS_INLINE_FAST_PATH", False):
-                problems.append("lacks SUPPORTS_INLINE_FAST_PATH")
+            if not callable(getattr(protocol_cls, "resolve_slow_batch", None)):
+                problems.append("lacks a callable resolve_slow_batch")
             if not callable(getattr(protocol_cls, "hot_mask", None)):
                 problems.append("lacks a callable hot_mask")
             folding = getattr(protocol_cls, "HOT_COMMUTATIVE", None)
@@ -279,21 +240,6 @@ class BatchContractRule(Rule):
                 getattr(protocol_cls, "batch_uop_code", None)
             ):
                 problems.append("local folding without batch_uop_code")
-            if getattr(protocol_cls, "SUPPORTS_SLOW_BATCH", False):
-                if not callable(getattr(protocol_cls, "resolve_slow_batch", None)):
-                    problems.append(
-                        "SUPPORTS_SLOW_BATCH without a callable resolve_slow_batch"
-                    )
-                table = getattr(protocol_cls, "SLOW_SHAPE_TABLE", None)
-                if getattr(table, "shape", None) != (4, 5):
-                    problems.append(
-                        "SUPPORTS_SLOW_BATCH without a 4x5 SLOW_SHAPE_TABLE "
-                        "(line modes x access kinds)"
-                    )
-            elif "resolve_slow_batch" in vars(protocol_cls):
-                problems.append(
-                    "defines resolve_slow_batch but SUPPORTS_SLOW_BATCH is False"
-                )
             if problems:
                 findings.append(
                     Violation(
@@ -322,8 +268,8 @@ class StateAlphabetRule(Rule):
     grow references to COUP's ``UPDATE`` state; ``meusi.py`` may use the
     full alphabet.  ``mesi.py`` names it exactly once, under an audited
     suppression: the module constant through which its shared machinery —
-    the inline fast path, the group merge and the GetU transaction shapes
-    MEUSI inherits — services U lines.
+    the retire loop and the GetU transaction shapes MEUSI inherits —
+    services U lines.
     """
 
     code = "P203"

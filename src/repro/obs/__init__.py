@@ -7,11 +7,11 @@ Three modes, selected by the ``REPRO_OBS`` environment knob (registered in
   instrumented site in the simulator and the campaign fabric reduces to a
   single ``is None`` guard on a slow path.  Gated at <=1% overhead on the
   paper grid by ``benchmarks/test_obs.py``.
-* ``counters`` — integer counters only (stint transitions, bail reasons,
-  merge-gate causes, cache hits, worker lifecycle); no host-clock reads
-  beyond the campaign fabric's existing ones.
-* ``full`` — counters plus phase timing histograms (slow-event boundary
-  phases, journal append latency) and JSONL event segments under
+* ``counters`` — integer counters only (per-path stints and retired
+  accesses, cache hits, worker lifecycle); no host-clock reads beyond the
+  campaign fabric's existing ones.
+* ``full`` — counters plus phase timing histograms (kernel window
+  classification, journal append latency) and JSONL event segments under
   :func:`events_dir`, rendered by ``python -m repro.obs.report``.
 
 The telemetry contract, relied on by the golden-fingerprint suites: **no

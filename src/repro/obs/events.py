@@ -212,8 +212,10 @@ def fold_events(directory: str) -> Optional[Dict[str, object]]:
 def profile_summary(
     fold: Mapping[str, object], top_phases: int = 5
 ) -> Dict[str, object]:
-    """Compact profile for ``summary.json``: top boundary-phase costs plus
-    bail-reason and merge-gate counter groups."""
+    """Compact profile for ``summary.json``: top phase costs plus the
+    per-path split — accesses retired by kernel hit-runs and by the retire
+    loop, each path's stint count, and the retire loop's ``resolve_slow``
+    calls."""
     phases = fold.get("phases")
     counters = fold.get("counters")
     phase_rows: List[Dict[str, object]] = []
@@ -240,17 +242,21 @@ def profile_summary(
                 }
             )
 
-    def counter_group(prefix: str) -> Dict[str, int]:
-        group: Dict[str, int] = {}
-        if isinstance(counters, dict):
-            for name in sorted(counters):
-                value = counters[name]
-                if name.startswith(prefix) and isinstance(value, int):
-                    group[name[len(prefix):]] = value
-        return group
+    def counter(name: str) -> int:
+        value = counters.get(name, 0) if isinstance(counters, dict) else 0
+        return value if isinstance(value, int) else 0
 
     return {
-        "bail_reasons": counter_group("kernel.bail."),
-        "merge_gate": counter_group("kernel.merge."),
+        "paths": {key: counter(name) for key, name in PATH_COUNTERS},
         "top_phases": phase_rows,
     }
+
+
+#: ``profile_summary``'s per-path split: (key, counter name).
+PATH_COUNTERS = (
+    ("kernel_hits", "kernel.hits_batched"),
+    ("kernel_stints", "kernel.stints"),
+    ("retire_accesses", "retire.accesses"),
+    ("retire_resolve_slow", "retire.resolve_slow"),
+    ("retire_stints", "retire.stints"),
+)

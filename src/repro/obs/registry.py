@@ -20,8 +20,8 @@ The contract that keeps telemetry safe:
 * **Zero overhead when off.**  When ``REPRO_OBS=off`` (the default),
   :func:`repro.obs.get_registry` returns ``None`` and every instrumented
   site reduces to one attribute load plus an ``is None`` test — and those
-  sites live exclusively on slow paths (stint boundaries, slow-event
-  resolution, merge gates), never in the per-access hot loops.
+  sites live exclusively at stint boundaries and window classification,
+  never in the per-access hot loops.
 """
 
 from __future__ import annotations

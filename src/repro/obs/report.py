@@ -3,13 +3,13 @@
 Reads the JSONL segments a ``REPRO_OBS=full`` run left under the obs
 directory and prints three views:
 
-* **Phase breakdown** — per slow-path boundary phase: call count, total
-  seconds, mean and approximate p50/p95 microseconds (from the log2
-  histogram).  This is the direct answer to ROADMAP item 1's "where does
-  the ~100us/event go" profiling ask.
-* **Counter Pareto** — bail reasons and merge-gate accept/decline causes
-  ranked by frequency with cumulative percentages, so the dominant
-  decline cause on a conflict-dense point is the first line.
+* **Phase breakdown** — per timed phase (kernel window classification,
+  campaign fabric): call count, total seconds, mean and approximate
+  p50/p95 microseconds (from the log2 histogram).
+* **Execution-path Pareto** — accesses retired by the batched kernel's
+  hit-runs and by the retire loop, ranked with cumulative percentages,
+  plus each path's stint count and the retire loop's ``resolve_slow``
+  calls.
 * **Worker timeline** — the campaign fabric's lifecycle events
   (spawn/dispatch/complete/fail/quarantine) in chronological order per
   worker.
@@ -32,7 +32,7 @@ __all__ = ["main", "render"]
 
 
 def _phase_table(phases: Mapping[str, object], out: List[str]) -> None:
-    out.append("Phase breakdown (slow-path boundary + campaign fabric)")
+    out.append("Phase breakdown (kernel + campaign fabric)")
     header = (
         f"  {'phase':<24} {'calls':>10} {'total_s':>10} "
         f"{'mean_us':>10} {'p50_us':>9} {'p95_us':>9}"
@@ -122,14 +122,15 @@ def render(fold: Mapping[str, object]) -> str:
     if isinstance(phases, dict) and phases:
         _phase_table(phases, out)
         out.append("")
-    profile = profile_summary(fold)
-    bail = profile.get("bail_reasons")
-    gate = profile.get("merge_gate")
-    if isinstance(gate, dict) and gate:
-        _pareto("Merge-gate accept/decline Pareto", gate, out)
-        out.append("")
-    if isinstance(bail, dict) and bail:
-        _pareto("Bail-reason Pareto", bail, out)
+    paths = profile_summary(fold).get("paths")
+    if isinstance(paths, dict) and any(paths.values()):
+        retired = {key: paths[key] for key in ("kernel_hits", "retire_accesses")}
+        _pareto("Execution-path Pareto (accesses retired)", retired, out)
+        out.append(
+            f"  stints: kernel {paths['kernel_stints']}, retire loop "
+            f"{paths['retire_stints']}; retire loop -> resolve_slow "
+            f"{paths['retire_resolve_slow']}"
+        )
         out.append("")
     if isinstance(counters, dict) and counters:
         out.append("Counters")

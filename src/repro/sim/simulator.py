@@ -7,6 +7,16 @@ core's clock advances by the compute time plus memory latency.  Optional phase
 barriers synchronise all cores, which is how reduction phases of privatized
 workloads and supersteps of iterative algorithms are modelled.
 
+One loop does this: the engine's retire loop
+(:meth:`MesiProtocol.resolve_slow_batch`), a k-way merge over every runnable
+core in exact ascending ``(clock, core id)`` order.  The batched kernel
+(:mod:`repro.sim.kernel`) only accelerates it: it advances whole private-hit
+runs with vectorized scans and hands back at the first access its masks do
+not classify hot.  Dispatch is one rule each way — a run starts in the
+kernel, the kernel hands back at its first non-hot access, and the retire
+loop hands back after :data:`HANDBACK_HITS` consecutive hits — so which path
+runs depends on counts alone, never on the host.
+
 This per-access atomic resolution plus per-line serialization at the directory
 captures the effects COUP targets — line ping-pong, invalidation storms, and
 serialization of contended atomics — without modelling transient protocol
@@ -15,41 +25,24 @@ races (those are verified separately in :mod:`repro.verification`).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Sequence, Type
 
 from repro import obs as _obs
 from repro.core.mesi import MesiProtocol
 from repro.core.meusi import MeusiProtocol
 from repro.core.protocol import CoherenceProtocol
 from repro.core.rmo import RmoProtocol
-from repro.core.states import StableState
-from repro.sim.access import MemoryAccess
-from repro.sim.columnar import (
-    CODE_ACCESS_TYPE,
-    CODE_OP,
-    CODE_SIZE,
-    COMM_MIN_CODE,
-    COMMUTATIVE_MIN_CODE,
-    REMOTE_MIN_CODE,
-    UPDATE_MIN_CODE,
-    ColumnarTrace,
-    decode_values,
-)
+from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import SystemConfig
 from repro.sim.core_model import CoreTimingModel
 from repro.sim.stats import CoreStats, SimulationResult
 
 
-#: Consecutive private hits (across all cores) after which the scalar
-#: columnar loop hands control back to the batched kernel: a long global
-#: streak means every core is in the kernel's hit-run regime.
-REENTER_STREAK = 512
-
-#: Upper bound on batched-kernel stints per run, so a workload oscillating
-#: near the batch/scalar break-even settles in the scalar loop.
-MAX_KERNEL_STINTS = 3
+#: Consecutive hits (across all cores) after which the retire loop hands the
+#: run to the batched kernel under ``REPRO_SIM_KERNEL=auto``: a streak that
+#: long means every core is in the kernel's hit-run regime.  ``batch`` hands
+#: back after every hit, ``scalar`` never.
+HANDBACK_HITS = 4096
 
 
 #: Registry of protocol engines selectable by name.
@@ -74,17 +67,6 @@ def make_protocol(
     return protocol_cls(config, track_values=track_values)
 
 
-@dataclass(slots=True)
-class _CoreCursor:
-    """Per-core simulation cursor."""
-
-    core_id: int
-    clock: float = 0.0
-    next_index: int = 0
-    phase: int = 0
-    waiting_at_barrier: bool = False
-
-
 class MulticoreSimulator:
     """Runs one workload trace under one protocol on one machine config."""
 
@@ -105,15 +87,13 @@ class MulticoreSimulator:
     def run(self, workload: ColumnarTrace) -> SimulationResult:
         """Simulate the workload to completion and return statistics.
 
-        The three-tier hot path: the batched kernel (:mod:`repro.sim.kernel`)
-        advances whole hit-runs with vectorized scans, dropping into the
-        inline per-access probe at run boundaries, which in turn drops into
-        :meth:`CoherenceProtocol.resolve_slow` for protocol action.  The
-        kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``)
-        and ``REPRO_SIM_KERNEL`` allows it; in ``auto`` mode it bails out to
-        the scalar loop mid-run on workloads whose hit-runs are too short to
-        batch profitably.  All paths are bit-identical (golden suite plus
-        the batch-boundary grids in tests/sim/test_batch_kernel.py).
+        The run alternates between the batched kernel and the engine's
+        retire loop on one shared state — per-core cursors, clocks and
+        statistics — phase by phase: when no core can run before its next
+        phase boundary, every core waits at the barrier until the slowest
+        arrives.  Every ``REPRO_SIM_KERNEL`` mode gives a bit-identical
+        result (golden suite plus the batch-boundary grids in
+        tests/sim/test_batch_kernel.py).
 
         Hand-written object-form traces are packed first with
         :meth:`ColumnarTrace.from_workload`.
@@ -133,384 +113,95 @@ class MulticoreSimulator:
         from repro.sim.kernel import BatchedKernel, kernel_mode
 
         mode = kernel_mode()
-        if (
-            mode == "scalar"
-            or not self.protocol.SUPPORTS_BATCH_KERNEL
-            or not self.protocol.SUPPORTS_INLINE_FAST_PATH
-        ):
-            return self._run_columnar_scalar(workload)
-
-        # The two loops alternate on the same exact state: the kernel bails
-        # to the scalar loop when a stretch of the workload defeats both of
-        # its batching tiers (hit-run windows and group retirement of
-        # independent slow accesses — conflict-dense stretches like cross-op
-        # reductions defeat the merge's entry gate), and the scalar loop
-        # hands back when it observes a long run of consecutive private hits
-        # (the kernel's regime).  Stints are capped so a workload
-        # oscillating near break-even settles in the scalar loop.
-        force = mode == "batch"
-        state = None
-        scratch: dict = {}
-        stints = 1
-        while True:
-            kernel = BatchedKernel(self, workload, force=force, resume=state)
-            state = kernel.run()
-            if state is None:
-                self.protocol.touched_cores = None
-                cursors = [
-                    _CoreCursor(
-                        core_id=core.core_id,
-                        clock=core.clock,
-                        next_index=core.next_index,
-                        phase=core.phase,
-                    )
-                    for core in kernel.cores
-                ]
-                return self._finish(workload, cursors, kernel.core_stats)
-            obs_reg = _obs.get_registry()
-            if obs_reg is not None:
-                obs_reg.inc("sim.stint.scalar")
-            outcome = self._run_columnar_scalar(
-                workload,
-                resume=state,
-                scratch=scratch,
-                reenter=stints < MAX_KERNEL_STINTS,
-            )
-            if isinstance(outcome, SimulationResult):
-                return outcome
-            state = outcome
-            stints += 1
-
-    def _run_columnar_scalar(
-        self, workload: ColumnarTrace, resume=None, scratch=None, reenter=False
-    ):
-        """The scalar loop: one access per iteration over raw columns.
-
-        The core with the smallest local clock issues its next access; private
-        hits resolve inline against the protocol's own tables, everything else
-        drops into ``resolve_slow`` (or ``access_hot`` for engines without
-        inline fast-path support).  ``MemoryAccess`` objects are materialized
-        lazily, and only for the protocol calls whose signatures take one
-        (``resolve_slow``/``access_hot`` and the functional-update helpers);
-        every private hit resolves against raw ints and floats.  Any change
-        here must be mirrored in the batched kernel's boundary path
-        (``BatchedKernel._execute_one``) and in the engines' group-retirement
-        merge (``resolve_slow_batch``, which replays this loop's probe +
-        ``resolve_slow`` sequence inline per slot); the golden equivalence
-        suite pins all paths bit-identical.
-
-        ``resume`` is a handoff from a bailed-out batched-kernel run:
-        ``(per-core (clock, next_index, phase), core_stats, heap entries,
-        barrier-waiter ids)``.  The kernel maintains exactly this loop's
-        state, so resuming mid-run continues the identical simulation.  With
-        ``reenter``, a run of :data:`REENTER_STREAK` consecutive private
-        hits returns the same handoff shape instead of a result, so
-        :meth:`run` can hand the hot stretch back to the kernel;
-        ``scratch`` caches the decoded columns across such alternations.
-        """
+        protocol = self.protocol
+        core_model = self.core_model
+        core_params = (
+            core_model.cycles_per_instruction,
+            core_model.atomic_overhead,
+            core_model.commutative_overhead,
+        )
         n_cores = workload.n_cores
-        if resume is None:
-            cursors = [_CoreCursor(core_id=i) for i in range(n_cores)]
-            core_stats = [CoreStats(core_id=i) for i in range(n_cores)]
-        else:
-            cursor_state, core_stats, _, _ = resume
-            cursors = [
-                _CoreCursor(core_id=i, clock=clock, next_index=next_index, phase=phase)
-                for i, (clock, next_index, phase) in enumerate(cursor_state)
-            ]
+        core_stats = [CoreStats(core_id=i) for i in range(n_cores)]
+        columns = workload.columns
+        codes = [column["type_code"] for column in columns]
+        addrs = [column["address"] for column in columns]
+        gaps = [column["compute_gap"] for column in columns]
+        deltas = [column["value_delta"] for column in columns]
+        trace_lens = [len(column) for column in columns]
         phase_boundaries = workload.phase_boundaries or []
         n_phases = len(phase_boundaries)
 
-        # -- per-core columns, decoded once into flat Python lists ------------
-        # ``tolist`` converts whole columns in C: addresses become plain ints
-        # (exact dict keys for the protocol tables), compute gaps stay floats
-        # (``gap * cpi`` is bit-identical to ``int_think * cpi`` because every
-        # gap is an exact small integer), and operand values are decoded by
-        # kind in one vectorized pass per core.
-        columns = scratch.get("columns") if scratch is not None else None
-        if columns is None:
-            columns = (
-                [column["type_code"].tolist() for column in workload.columns],
-                [column["address"].tolist() for column in workload.columns],
-                [column["compute_gap"].tolist() for column in workload.columns],
-                [decode_values(column) for column in workload.columns],
+        def limits_at(phase: int) -> List[int]:
+            # How far each core may run before the phase's barrier.
+            if phase >= n_phases:
+                return list(trace_lens)
+            return [
+                min(trace_len, boundary)
+                for trace_len, boundary in zip(trace_lens, phase_boundaries[phase])
+            ]
+
+        cursors = [0] * n_cores
+        clocks = [0.0] * n_cores
+        phase = 0
+        limits = limits_at(phase)
+        kernel = (
+            None if mode == "scalar" else BatchedKernel(self, workload, core_stats)
+        )
+        streak_cap = {"auto": HANDBACK_HITS, "batch": 1, "scalar": 0}[mode]
+        retire = protocol.resolve_slow_batch
+        obs_reg = _obs.get_registry()
+        in_kernel = True  # a run starts in the kernel
+        while True:
+            runnable = [c for c in range(n_cores) if cursors[c] < limits[c]]
+            if not runnable:
+                if phase >= n_phases:
+                    break
+                # Every core reached the barrier: release them all together
+                # at the latest arrival.
+                release_time = max(clocks)
+                clocks = [release_time] * n_cores
+                phase += 1
+                limits = limits_at(phase)
+                continue
+            if kernel is not None and in_kernel:
+                hits = kernel.run(runnable, cursors, clocks, limits)
+                if obs_reg is not None:
+                    obs_reg.inc("kernel.stints")
+                    obs_reg.inc("kernel.hits_batched", hits)
+                # Still runnable cores mean the kernel met an access it does
+                # not classify hot; otherwise it drained the phase.
+                in_kernel = all(cursors[c] >= limits[c] for c in runnable)
+                continue
+            slot_cursor = [cursors[c] for c in runnable]
+            slot_clock = [clocks[c] for c in runnable]
+            retired, _n_slow, n_resolve = retire(
+                runnable,
+                [codes[c] for c in runnable],
+                [addrs[c] for c in runnable],
+                [gaps[c] for c in runnable],
+                [deltas[c] for c in runnable],
+                slot_cursor,
+                [limits[c] for c in runnable],
+                slot_clock,
+                [core_stats[c] for c in runnable],
+                core_params,
+                streak_cap,
             )
-            if scratch is not None:
-                scratch["columns"] = columns
-        codes_pc, addrs_pc, gaps_pc, values_pc = columns
-        trace_lens = [len(codes) for codes in codes_pc]
-
-        # -- hot-loop constants, hoisted out of the per-access path -----------
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        protocol = self.protocol
-        cpi = self.core_model.cycles_per_instruction
-        atomic_overhead = self.core_model.atomic_overhead
-        commutative_overhead = self.core_model.commutative_overhead
-        # Private-hit latencies, as the same float sums the transaction path
-        # would produce (L1, and L1+L2) so results stay bit-identical.
-        l1_latency = self.config.l1d.latency
-        l2_latency = self.config.l2.latency
-        l1_hit_total = l1_latency + 0.0
-        l2_hit_total = l1_latency + l2_latency + 0.0
-        # type_code classification bounds (see repro.sim.columnar): loads,
-        # then stores, then atomic/commutative/remote updates in ascending
-        # code ranges.  Hoisted to locals for the hot loop.
-        store_min = UPDATE_MIN_CODE
-        atomic_min = COMM_MIN_CODE
-        commutative_min = COMMUTATIVE_MIN_CODE
-        remote_min = REMOTE_MIN_CODE
-        code_type = CODE_ACCESS_TYPE
-        code_op = CODE_OP
-        code_size = CODE_SIZE
-        new_access = MemoryAccess.__new__
-
-        # Inline private-hit fast path (see CoherenceProtocol.resolve_slow):
-        # for the MESI-family engines the loop resolves hits against the
-        # protocol's own tables without a single protocol call, and everything
-        # else drops into resolve_slow.  Engines without fast-path support
-        # fall back to access_hot per access.
-        inline = protocol.SUPPORTS_INLINE_FAST_PATH
-        if inline:
-            resolve_slow = protocol.resolve_slow
-            core_states = protocol.core_states
-            l1_caches = protocol._l1_caches
-            l2_caches = protocol._l2_caches
-            line_shift = protocol._line_shift
-            track_values = protocol.track_values
-            memory_image = protocol.memory_image
-            directory_entries = protocol.directory._entries
-            comm_local = protocol.HOT_COMMUTATIVE == "local"
-            comm_never = protocol.HOT_COMMUTATIVE == "never"
-            exclusive_s = StableState.EXCLUSIVE
-            modified_s = StableState.MODIFIED
-            update_s = StableState.UPDATE
-        else:
-            access_hot = protocol.access_hot
-
-        # Min-heap of (clock, core_id) for cores that still have work to do.
-        # The core id is an explicit part of every heap entry so that cores
-        # whose clocks are exactly equal are always popped in ascending
-        # core-id order — the interleaving is fully deterministic, and the
-        # kernel and this loop can never diverge on ties (pinned by
-        # tests/sim/test_simulator.py::TestCoreSelectionTieBreak).
-        if resume is None:
-            heap: List[tuple] = [(0.0, i) for i in range(n_cores)]
-            barrier_waiters: List[int] = []
-        else:
-            heap = list(resume[2])
-            barrier_waiters = list(resume[3])
-        heapq.heapify(heap)
-        hit_streak = 0
-
-        while heap or barrier_waiters:
-            if not heap:
-                # Every runnable core reached the current barrier: release it.
-                self._release_barrier(cursors, barrier_waiters, heap)
-                continue
-
-            clock, core_id = heappop(heap)
-            cursor = cursors[core_id]
-            index = cursor.next_index
-
-            if index >= trace_lens[core_id]:
-                # This core is done; it still participates in barriers so that
-                # phases end only when every core has arrived.  The clock is
-                # normally carried in the heap tuples; record it on the
-                # cursor only when the core leaves the heap.
-                cursor.clock = clock
-                if cursor.phase < n_phases:
-                    barrier_waiters.append(core_id)
-                continue
-
-            # Check whether the core has reached its next phase boundary.
-            if cursor.phase < n_phases:
-                if index >= phase_boundaries[cursor.phase][core_id]:
-                    cursor.clock = clock
-                    barrier_waiters.append(core_id)
-                    continue
-
-            code = codes_pc[core_id][index]
-            address = addrs_pc[core_id][index]
-            gap = gaps_pc[core_id][index]
-            cursor.next_index = index + 1
-            stats = core_stats[core_id]
-
-            # Fused dispatch on the packed type code: issue overhead and the
-            # per-type instruction counters (integer range compares).
-            is_comm = False
-            if code < store_min:  # LOAD
-                overhead = 0.0
-                stats.loads += 1
-            elif code < atomic_min:  # STORE
-                overhead = 0.0
-                stats.stores += 1
-            elif code < commutative_min:  # ATOMIC_RMW
-                overhead = atomic_overhead
-                stats.atomics += 1
-            elif code < remote_min:  # COMMUTATIVE_UPDATE
-                overhead = commutative_overhead
-                stats.commutative_updates += 1
-                is_comm = True
-            else:  # REMOTE_UPDATE
-                overhead = commutative_overhead
-                stats.remote_updates += 1
-                is_comm = True
-
-            think = gap * cpi
-            issue_time = clock + think
-
-            hit_level = 0
-            result = None
-            if inline:
-                line_addr = address >> line_shift
-                states = core_states[core_id]
-                state = states.get(line_addr)
-                level = None
-                # Probe the private caches only when a hit is possible under
-                # this engine's rules; any access the original transaction
-                # path would probe but this loop does not is probed inside
-                # resolve_slow instead, so the lookup happens exactly once.
-                if state is not None and (
-                    (not comm_never) if is_comm else (state is not update_s)
-                ):
-                    # Same side effects as CacheHierarchy.private_lookup_level
-                    # and CoherenceProtocol._private_level — the probe is
-                    # intentionally hand-duplicated for speed; change them
-                    # together (the golden-equivalence suite catches
-                    # divergence).
-                    l1 = l1_caches[core_id]
-                    cache_set = l1._sets.get(line_addr % l1._num_sets)
-                    info = cache_set.get(line_addr) if cache_set is not None else None
-                    if info is not None:
-                        l1.hits += 1
-                        l1._tick = tick = l1._tick + 1
-                        info.last_use = tick
-                        level = 1
-                    else:
-                        l1.misses += 1
-                        l2 = l2_caches[core_id]
-                        cache_set = l2._sets.get(line_addr % l2._num_sets)
-                        info = cache_set.get(line_addr) if cache_set is not None else None
-                        if info is not None:
-                            l2.hits += 1
-                            l2._tick = tick = l2._tick + 1
-                            info.last_use = tick
-                            l1.insert(line_addr)
-                            level = 2
-                        else:
-                            l2.misses += 1
-                            level = 0
-                    if level:
-                        if code < store_min:  # LOAD
-                            if state is not update_s:  # S/E/M satisfy loads
-                                hit_level = level
-                        elif state is modified_s or state is exclusive_s:
-                            # Store, atomic, or (folded/local) commutative
-                            # update against our own M/E copy.
-                            states[line_addr] = modified_s
-                            if track_values:
-                                if code < atomic_min:  # STORE
-                                    value = values_pc[core_id][index]
-                                    if value is not None:
-                                        memory_image[address] = value
-                                else:
-                                    access = new_access(MemoryAccess)
-                                    access.access_type = code_type[code]
-                                    access.address = address
-                                    access.op = code_op[code]
-                                    access.value = values_pc[core_id][index]
-                                    access.think_instructions = int(gap)
-                                    access.size_bytes = code_size[code]
-                                    protocol._functional_update(access)
-                            if is_comm and comm_local:
-                                protocol.stat_local_updates += 1
-                            hit_level = level
-                        elif state is update_s and is_comm and comm_local:
-                            # U-state line: buffer same-type updates locally.
-                            entry = directory_entries.get(line_addr)
-                            op = code_op[code]
-                            if op is not None and entry is not None and entry.op is op:
-                                if track_values:
-                                    access = new_access(MemoryAccess)
-                                    access.access_type = code_type[code]
-                                    access.address = address
-                                    access.op = op
-                                    access.value = values_pc[core_id][index]
-                                    access.think_instructions = int(gap)
-                                    access.size_bytes = code_size[code]
-                                    protocol._apply_local_update(core_id, access)
-                                protocol.stat_local_updates += 1
-                                hit_level = level
-                if not hit_level:
-                    access = new_access(MemoryAccess)
-                    access.access_type = code_type[code]
-                    access.address = address
-                    access.op = code_op[code]
-                    access.value = values_pc[core_id][index]
-                    access.think_instructions = int(gap)
-                    access.size_bytes = code_size[code]
-                    result = resolve_slow(
-                        core_id, access, line_addr, state, level, issue_time
-                    )
-            else:
-                access = new_access(MemoryAccess)
-                access.access_type = code_type[code]
-                access.address = address
-                access.op = code_op[code]
-                access.value = values_pc[core_id][index]
-                access.think_instructions = int(gap)
-                access.size_bytes = code_size[code]
-                result = access_hot(core_id, access, issue_time)
-                if result.__class__ is int:
-                    hit_level = result
-                    result = None
-
-            if hit_level:
-                # Private hit: charge the fixed L1/L2 latency without having
-                # built an AccessOutcome.  The component adds mirror what
-                # LatencyBreakdown.add would have accumulated.
-                latency_record = stats.latency
-                latency_record.l1 += l1_latency
-                if hit_level == 1:
-                    latency = l1_hit_total
-                else:
-                    latency_record.l2 += l2_latency
-                    latency = l2_hit_total
-                stats.l1_hits += 1
-            else:
-                latency = result.total_latency
-                stats.latency.add(result.latency)
-                if result.private_hit:
-                    stats.l1_hits += 1
-
-            stats.accesses += 1
-            stats.compute_cycles += think + overhead
-            stats.memory_cycles += latency
-
-            heappush(heap, (issue_time + overhead + latency, core_id))
-
-            if hit_level:
-                hit_streak += 1
-                if hit_streak == REENTER_STREAK and reenter:
-                    # Every core is hitting: hand the hot stretch back to the
-                    # batched kernel.  The heap carries the live clocks.
-                    for entry_clock, entry_id in heap:
-                        cursors[entry_id].clock = entry_clock
-                    cursor_state = [
-                        (cursor.clock, cursor.next_index, cursor.phase)
-                        for cursor in cursors
-                    ]
-                    return cursor_state, core_stats, list(heap), list(barrier_waiters)
-            else:
-                hit_streak = 0
-
-        return self._finish(workload, cursors, core_stats)
+            for s, core_id in enumerate(runnable):
+                cursors[core_id] = slot_cursor[s]
+                clocks[core_id] = slot_clock[s]
+            if obs_reg is not None:
+                obs_reg.inc("retire.stints")
+                obs_reg.inc("retire.accesses", retired)
+                obs_reg.inc("retire.resolve_slow", n_resolve)
+            # A core still short of its limit means the hit streak ran out.
+            in_kernel = any(cursors[c] < limits[c] for c in runnable)
+        return self._finish(workload, clocks, core_stats)
 
     def _finish(
         self,
         workload: ColumnarTrace,
-        cursors: Sequence[_CoreCursor],
+        clocks: Sequence[float],
         core_stats: List[CoreStats],
     ) -> SimulationResult:
         """Finalize the protocol and assemble the result structure."""
@@ -519,8 +210,8 @@ class MulticoreSimulator:
         # result statistics are final, so nothing here can feed the result.
         self.protocol.obs_fold_stats()
 
-        for cursor, stats in zip(cursors, core_stats):
-            stats.finish_time = cursor.clock
+        for clock, stats in zip(clocks, core_stats):
+            stats.finish_time = clock
 
         run_cycles = max((stats.finish_time for stats in core_stats), default=0.0)
         interconnect = self.protocol.interconnect
@@ -545,21 +236,6 @@ class MulticoreSimulator:
             bytes_by_type=dict(traffic.bytes_by_type),
             link_stats=interconnect.link_report(run_cycles),
         )
-
-    @staticmethod
-    def _release_barrier(
-        cursors: Sequence[_CoreCursor], barrier_waiters: List[int], heap: List[tuple]
-    ) -> None:
-        """Advance every waiting core past the barrier at the barrier time."""
-        if not barrier_waiters:
-            return
-        release_time = max(cursors[core_id].clock for core_id in barrier_waiters)
-        for core_id in barrier_waiters:
-            cursor = cursors[core_id]
-            cursor.clock = release_time
-            cursor.phase += 1
-            heapq.heappush(heap, (cursor.clock, core_id))
-        barrier_waiters.clear()
 
 
 def simulate(

@@ -235,7 +235,7 @@ class SimulationResult:
         ``[address, value]`` pairs — sorted by address, so the serialized
         form is canonical: the memory image's dict insertion order depends
         on which simulation path ran (the batched kernel may interleave
-        cores' first writes differently from the scalar loop), but the
+        cores' first writes differently from the retire loop), but the
         per-address values are pinned identical.
         """
         from dataclasses import asdict

@@ -54,63 +54,53 @@ class TestP202BatchContract:
     def test_batch_kernel_without_hot_mask_fires(self, lint_sources):
         source = (
             "class FancyProtocol:\n"
-            "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
+            "    def resolve_slow_batch(self):\n"
+            "        return (0, 0, 0)\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert "P202" in codes(report)
+        assert codes(report) == ["P202"]
+
+    def test_engine_without_retire_loop_fires(self, lint_sources):
+        source = (
+            "class FancyProtocol:\n"
+            "    HOT_COMMUTATIVE = 'atomic'\n"
+            "    def hot_mask(self, codes):\n"
+            "        return codes\n"
+        )
+        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
+        assert codes(report) == ["P202"]
 
     def test_full_contract_passes(self, lint_sources):
         source = (
             "class FancyProtocol:\n"
-            "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'local'\n"
             "    def hot_mask(self, codes):\n"
             "        return codes\n"
             "    def batch_uop_code(self):\n"
             "        return 0\n"
+            "    def resolve_slow_batch(self):\n"
+            "        return (0, 0, 0)\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert report.ok
 
     def test_inheriting_engine_passes(self, lint_sources):
-        # A subclass of a known hot_mask provider inherits the contract.
+        # A subclass of a known MESI-family engine inherits the contract.
         source = (
             "from repro.core.mesi import MesiProtocol\n"
             "class TweakedMesi(MesiProtocol):\n"
-            "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert report.ok
 
-    def test_slow_batch_flag_without_merge_fires(self, lint_sources):
-        source = (
-            "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert "P202" in codes(report)
-
-    def test_slow_batch_merge_without_flag_fires(self, lint_sources):
-        # Defining the merge while declaring non-participation is a stale
-        # flag: the kernel's dispatch would never call the method.
-        source = (
-            "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = False\n"
-            "    def resolve_slow_batch(self):\n"
-            "        return (0, 0, 0)\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert "P202" in codes(report)
-
     def test_slow_batch_contract_passes_with_own_merge(self, lint_sources):
         source = (
             "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
+            "    HOT_COMMUTATIVE = 'never'\n"
+            "    def hot_mask(self, codes):\n"
+            "        return codes\n"
             "    def resolve_slow_batch(self):\n"
             "        return (0, 0, 0)\n"
         )
@@ -118,20 +108,11 @@ class TestP202BatchContract:
         assert report.ok
 
     def test_slow_batch_contract_inherited_from_mesi_family(self, lint_sources):
+        # RMO runs the MESI family's retire loop too.
         source = (
-            "from repro.core.mesi import MesiProtocol\n"
-            "class TweakedMesi(MesiProtocol):\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert report.ok
-
-    def test_opting_out_without_defining_merge_passes(self, lint_sources):
-        # RMO's shape: participation declined, merge only inherited.
-        source = (
-            "from repro.core.mesi import MesiProtocol\n"
-            "class BankSerialised(MesiProtocol):\n"
-            "    SUPPORTS_SLOW_BATCH = False\n"
+            "from repro.core.rmo import RmoProtocol\n"
+            "class TweakedRmo(RmoProtocol):\n"
+            "    HOT_COMMUTATIVE = 'never'\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert report.ok

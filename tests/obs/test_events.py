@@ -113,10 +113,12 @@ class TestProfileSummary:
     def test_top_phases_ranked_by_total_and_groups_stripped(self, tmp_path):
         fold = {
             "counters": {
-                "kernel.bail.hard_margin": 3,
-                "kernel.bail.strikes": 7,
-                "kernel.merge.decline.few_parked": 12,
-                "kernel.slow_events": 100,
+                "journal.appends": 4,
+                "kernel.hits_batched": 700,
+                "kernel.stints": 3,
+                "retire.accesses": 100,
+                "retire.resolve_slow": 12,
+                "retire.stints": 3,
             },
             "phases": {
                 "cheap": _phase_sample(10, 0.001, 2),
@@ -126,9 +128,17 @@ class TestProfileSummary:
         profile = events.profile_summary(fold, top_phases=1)
         assert [row["phase"] for row in profile["top_phases"]] == ["dear"]
         assert profile["top_phases"][0]["calls"] == 2
-        assert profile["bail_reasons"] == {"hard_margin": 3, "strikes": 7}
-        assert profile["merge_gate"] == {"decline.few_parked": 12}
+        assert profile["paths"] == {
+            "kernel_hits": 700,
+            "kernel_stints": 3,
+            "retire_accesses": 100,
+            "retire_resolve_slow": 12,
+            "retire_stints": 3,
+        }
 
     def test_empty_fold_degrades(self):
         profile = events.profile_summary({})
-        assert profile == {"bail_reasons": {}, "merge_gate": {}, "top_phases": []}
+        assert profile == {
+            "paths": {key: 0 for key, _ in events.PATH_COUNTERS},
+            "top_phases": [],
+        }

@@ -17,12 +17,14 @@ def _write_stream(directory: str) -> None:
             "point_obs",
             {
                 "counters": {
-                    "kernel.bail.hit_density": 2,
-                    "kernel.merge.decline.cooldown": 9,
-                    "kernel.merge.retired": 400,
+                    "kernel.hits_batched": 400,
+                    "kernel.stints": 2,
+                    "retire.accesses": 90,
+                    "retire.resolve_slow": 9,
+                    "retire.stints": 3,
                 },
                 "phases": {
-                    "resolve_slow_batch": {
+                    "eval_mask": {
                         "buckets": buckets,
                         "count": 5,
                         "max_s": 0.01,
@@ -50,11 +52,10 @@ class TestRender:
         fold = events.fold_events(str(tmp_path))
         text = report.render(fold)
         assert "Phase breakdown" in text
-        assert "resolve_slow_batch" in text
-        assert "Merge-gate accept/decline Pareto" in text
-        assert "decline.cooldown" in text
-        assert "Bail-reason Pareto" in text
-        assert "hit_density" in text
+        assert "eval_mask" in text
+        assert "Execution-path Pareto (accesses retired)" in text
+        assert "retire_accesses" in text
+        assert "stints: kernel 2, retire loop 3; retire loop -> resolve_slow 9" in text
         assert "Campaign points: 1 total, 1 ok, 0 cached" in text
         assert "Worker timeline" in text
         assert "dispatch" in text
@@ -63,8 +64,8 @@ class TestRender:
         _write_stream(str(tmp_path))
         fold = events.fold_events(str(tmp_path))
         text = report.render(fold)
-        gate_section = text.split("Merge-gate accept/decline Pareto")[1]
-        assert gate_section.index("retired") < gate_section.index("decline.cooldown")
+        paths_section = text.split("Execution-path Pareto")[1]
+        assert paths_section.index("kernel_hits") < paths_section.index("retire_accesses")
 
 
 class TestMain:
@@ -78,7 +79,7 @@ class TestMain:
         _write_stream(str(tmp_path))
         assert report.main(["--obs-dir", str(tmp_path), "--json"]) == 0
         fold = json.loads(capsys.readouterr().out)
-        assert fold["counters"]["kernel.merge.retired"] == 400
+        assert fold["counters"]["kernel.hits_batched"] == 400
 
     def test_no_segments_exits_one(self, tmp_path, capsys):
         assert report.main(["--obs-dir", str(tmp_path)]) == 1

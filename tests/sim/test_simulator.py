@@ -225,17 +225,16 @@ class TestCoreSelectionTieBreak:
     def _recorded_order(self, trace) -> list:
         config = small_test_config(self.N_CORES)
         engine = make_protocol("RMO", config)
-        # Force the access_hot path so every access reaches the recorder
-        # (the inline fast path would resolve private hits silently).
-        engine.SUPPORTS_INLINE_FAST_PATH = False
+        # Every access of the workload is a cold miss, so each one reaches
+        # the engine's transaction shapes.
         order = []
-        original = engine.access_hot
+        original = engine._transaction
 
-        def recording_access_hot(core_id, access, now):
+        def recording_transaction(eng, core_id, *args):
             order.append(core_id)
-            return original(core_id, access, now)
+            return original(eng, core_id, *args)
 
-        engine.access_hot = recording_access_hot
+        engine._transaction = recording_transaction
         MulticoreSimulator(config, engine).run(trace)
         return order
 

@@ -15,9 +15,9 @@ line's home until it completes, so concurrent atomics to a hot line queue up.
 
 Every MESI-family transaction shape — GetS (R1-R3), GetX/upgrade (W1-W3) and
 COUP's GetU grants (U1-U5, used by MEUSI) — exists once, in the functions
-:func:`_transaction_shapes` builds per engine.  ``resolve_slow`` and the
-simulator's retire loop ``resolve_slow_batch`` both call them, so the two
-entry points cannot drift apart.
+:func:`_transaction_shapes` builds per engine, and the private-hit rule once,
+as the hit table (:func:`repro.core.protocol.hit_table`).  ``access`` and the
+retire loop ``resolve_slow_batch`` both run them, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -26,7 +26,15 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.directory import DirectoryEntry
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
+from repro.core.protocol import (
+    ACT_BUFFER,
+    ACT_HIT,
+    ACT_HIT_M,
+    ACT_PROBE,
+    ACT_SLOW,
+    AccessOutcome,
+    CoherenceProtocol,
+)
 from repro.core.states import LineMode, StableState
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
@@ -510,12 +518,6 @@ class MesiProtocol(CoherenceProtocol):
         else:
             self.core_states[core_id][line_addr] = state
 
-    def _private_hit_latency(self, level) -> LatencyBreakdown:
-        """Latency breakdown of a private hit (level 1/"L1" or 2/"L2")."""
-        if level == "L1" or level == 1:
-            return LatencyBreakdown(l1=self._l1_latency)
-        return LatencyBreakdown(l1=self._l1_latency, l2=self._l2_latency)
-
     def _chip(self, core_id: int) -> int:
         return self._chip_of_core[core_id]
 
@@ -551,11 +553,9 @@ class MesiProtocol(CoherenceProtocol):
         now: float,
         breakdown: LatencyBreakdown,
         occupancy: float,
-        entry=None,
     ) -> None:
         """Queue behind any in-flight transaction for this line."""
-        if entry is None:
-            entry = self.directory.entry(line_addr)
+        entry = self.directory.entry(line_addr)
         start = max(now, entry.busy_until)
         wait = start - now
         if wait > 0:
@@ -579,56 +579,52 @@ class MesiProtocol(CoherenceProtocol):
         current = self.memory_image.get(access.address, access.op.identity)
         self.memory_image[access.address] = access.op.apply(current, access.value)
 
+    def _value_of(self, kind: int, access: MemoryAccess):
+        """The word a hit or transaction returns: none for stores, nor for
+        COUP's commutative updates (kinds >= 3 under update-only folding)."""
+        if kind == 1 or (kind >= 3 and self.HOT_COMMUTATIVE == "local"):
+            return None
+        return self._functional_load(access)
+
     # --------------------------------------------------------------- main entry
 
     def access(self, core_id: int, access: MemoryAccess, now: float) -> AccessOutcome:
-        result = self.access_hot(core_id, access, now)
-        if result.__class__ is int:
-            outcome = AccessOutcome(private_hit=True)
-            outcome.latency = self._private_hit_latency(result)
-            outcome.value = self._hit_value(access)
-            return outcome
-        return result
+        """Resolve one access as one step of the retire loop does.
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
-        """Resolve one access; private hits return just the hit level (1/2).
-
-        The object-form entry point behind :meth:`access` (the simulator
-        itself runs :meth:`resolve_slow_batch`).  Private hits perform the
-        same lookups, LRU refreshes, state transitions and functional
-        updates as the retire loop's inline hit rules and skip every
-        allocation: the caller charges the fixed L1/L2 hit latency itself.
+        Runs the access's hit-table cell, probes the private caches at most
+        once, then retires a private hit or calls :meth:`resolve_slow` (the
+        differential lane's ``api-equivalence`` check pins the two paths).
         """
         line_addr = access.address >> self._line_shift
-        access_type = access.access_type
-        # MESI has no update-only support: commutative and remote updates are
-        # executed as conventional atomic read-modify-writes.
-        if (
-            access_type is AccessType.COMMUTATIVE_UPDATE
-            or access_type is AccessType.REMOTE_UPDATE
-        ):
-            access_type = AccessType.ATOMIC_RMW
-
+        kind = KIND_OF_TYPE[access.access_type]
         states = self.core_states[core_id]
         state = states.get(line_addr)
-        level = self._private_level(core_id, line_addr)
-
-        if level and state is not None:
-            if access_type is AccessType.LOAD:
-                if state is not _UPDATE:  # S/E/M can satisfy a load
-                    return level
-            elif (
-                state is StableState.MODIFIED or state is StableState.EXCLUSIVE
-            ):  # store or atomic with write permission
-                states[line_addr] = StableState.MODIFIED
-                if access_type is AccessType.STORE:
-                    if self.track_values and access.value is not None:
-                        self.memory_image[access.address] = access.value
-                else:
-                    self._functional_update(access)
-                return level
-
-        return self.resolve_slow(core_id, access, line_addr, state, level, now)
+        action = self.hit_rows[None if state is None else state._value_][kind]
+        if action == ACT_BUFFER:  # an update of the U line's op buffers
+            entry = self.directory.peek(line_addr)
+            if access.op is None or entry is None or entry.op is not access.op:
+                action = ACT_PROBE
+        level = None if action == ACT_SLOW else self._private_level(core_id, line_addr)
+        if not level or action == ACT_PROBE:
+            return self.resolve_slow(core_id, access, line_addr, state, level, now)
+        # MEUSI-only members (delta buffers, update statistics) are reached
+        # only from ACT_BUFFER cells and update-only folding.
+        sp: Any = self
+        if action == ACT_BUFFER:
+            sp._apply_local_update(core_id, access)
+            sp.stat_local_updates += 1
+        elif action == ACT_HIT_M:
+            states[line_addr] = StableState.MODIFIED
+            if kind == 1:
+                self._functional_store(access)
+            else:
+                self._functional_update(access)
+            if kind >= 3 and self.HOT_COMMUTATIVE == "local":
+                sp.stat_local_updates += 1
+        latency = LatencyBreakdown(l1=self._l1_latency)
+        if level == 2:
+            latency.l2 = self._l2_latency
+        return AccessOutcome(latency, self._value_of(kind, access), private_hit=True)
 
     def resolve_slow(
         self,
@@ -662,17 +658,13 @@ class MesiProtocol(CoherenceProtocol):
             self, core_id, kind, access.op, access.address, line_addr, state,
             access.value, now,
         )
-        outcome = AccessOutcome(
+        return AccessOutcome(
             LatencyBreakdown(
                 0.0 + self._l1_latency, 0.0 + self._l2_latency, b3, b4, b5, b6, b7, b8
             ),
+            self._value_of(kind, access),
             invalidations=invalidations,
         )
-        # Loads and atomics return the word; stores and COUP's GetU grants
-        # (commutative updates under update-only folding) return nothing.
-        if kind != 1 and not (kind >= 3 and self.HOT_COMMUTATIVE == "local"):
-            outcome.value = self._functional_load(access)
-        return outcome
 
     # ------------------------------------------------------------ retire loop
 
@@ -704,15 +696,12 @@ class MesiProtocol(CoherenceProtocol):
         access of the earliest slot, and a slot keeps retiring while it stays
         the earliest.
 
-        Private hits resolve inline against the engine's tables (the probe
-        is hand-duplicated from :meth:`CoherenceProtocol._private_level`).
-        Every other access runs after the same exactly-once probe: a
-        conflict — a cross-op update or a demand on an update-only line
-        (both full reductions), or an update under a ``"never"`` folding
-        engine (RMO's remote update) — materializes its
-        :class:`MemoryAccess` and goes through :meth:`resolve_slow`; the
-        rest call the engine's transaction shapes directly, which is exactly
-        what ``resolve_slow`` would run for them.
+        Each access runs its hit-table cell (:attr:`hit_rows`), with
+        ``CacheHierarchy.private_lookup_level`` inlined as the probe.  A
+        slow access that is a conflict — a cross-op update or a demand on an
+        update-only line (full reductions), or RMO's remote update — goes
+        through :meth:`resolve_slow`; the rest call the transaction shapes
+        ``resolve_slow`` would run for them.
 
         The loop returns when every slot reached its limit, or as soon as
         ``streak_cap`` consecutive hits retired (``0``: never), handing the
@@ -728,6 +717,10 @@ class MesiProtocol(CoherenceProtocol):
         # solely under ``comm_local``; the Any view keeps the shared loop in
         # one place without widening the MESI class surface.
         sp: Any = self
+        hit_rows = self.hit_rows
+        absent_row = hit_rows[None]
+        act_hit = ACT_HIT
+        act_hit_m = ACT_HIT_M
         kind_of = _KIND_OF_CODE
         code_op = CODE_OP
         code_vk = CODE_VALUE_KIND
@@ -749,7 +742,6 @@ class MesiProtocol(CoherenceProtocol):
         dir_entries = self.directory._entries
         core_states = self.core_states
         MOD = StableState.MODIFIED
-        EXC = StableState.EXCLUSIVE
         UPD = _UPDATE
         M_UPDATE_ONLY = LineMode.UPDATE_ONLY
         inf = float("inf")
@@ -838,6 +830,7 @@ class MesiProtocol(CoherenceProtocol):
                 address = addrs_l[i]
                 line_addr = address >> line_shift
                 state = states.get(line_addr)
+                action = (absent_row if state is None else hit_rows[state._value_])[kind]
                 is_comm = kind >= 3
 
                 gap = gaps_l[i]
@@ -859,15 +852,12 @@ class MesiProtocol(CoherenceProtocol):
                 think = gap * cpi
                 issue = clock + think
 
-                # -- inline private probe, only where a hit is possible under
-                # this engine's rules (see CoherenceProtocol._private_level's
-                # WARNING); anything not probed here is probed exactly once on
-                # the slow path.
+                # -- the hit-table cell: probe unless it is ACT_SLOW (0), with
+                # CacheHierarchy.private_lookup_level inlined (see its
+                # WARNING); an unprobed access is probed at most once later.
                 level = None
                 hit_level = 0
-                if state is not None and (
-                    (not comm_never) if is_comm else (state is not UPD)
-                ):
+                if action:
                     cache_set = l1_sets.get(line_addr % l1_nsets)
                     info = cache_set.get(line_addr) if cache_set is not None else None
                     if info is not None:
@@ -888,11 +878,10 @@ class MesiProtocol(CoherenceProtocol):
                         else:
                             l2.misses += 1
                             level = 0
-                    if level:
-                        if kind == 0:
-                            if state is not UPD:
-                                hit_level = level
-                        elif state is MOD or state is EXC:
+                    if level and action >= act_hit:
+                        if action == act_hit:
+                            hit_level = level
+                        elif action == act_hit_m:
                             states[line_addr] = MOD
                             if track:
                                 value = decode_value(code_vk[code], deltas_l[i])
@@ -907,7 +896,7 @@ class MesiProtocol(CoherenceProtocol):
                             if is_comm and comm_local:
                                 sp.stat_local_updates += 1
                             hit_level = level
-                        elif state is UPD and is_comm and comm_local:
+                        else:  # ACT_BUFFER: an update of the U line's op
                             entry = dir_entries.get(line_addr)
                             op = code_op[code]
                             if op is not None and entry is not None and entry.op is op:
@@ -948,27 +937,18 @@ class MesiProtocol(CoherenceProtocol):
 
                 # -- slow access: a conflict goes through resolve_slow, every
                 # other shape straight to the transaction resolve_slow runs.
-                if is_comm:
-                    if comm_never:
-                        conflict = True
-                    elif comm_local:
-                        entry = dir_entries.get(line_addr)
-                        # Cross-op update (U6): full reduction.
-                        conflict = (
-                            entry is not None
-                            and entry.mode is M_UPDATE_ONLY
-                            and entry.op is not code_op[code]
-                        )
-                    else:
-                        conflict = False
-                elif comm_local:
+                # Conflicts: RMO's remote updates, and under COUP a cross-op
+                # update (U6) or a demand on an update-only line, which are
+                # full reductions.
+                if comm_local:
                     entry = dir_entries.get(line_addr)
-                    # Demand on an update-only line: full reduction.
                     conflict = (
-                        entry is not None and entry.mode is M_UPDATE_ONLY
-                    ) or state is UPD
+                        entry is not None
+                        and entry.mode is M_UPDATE_ONLY
+                        and (not is_comm or entry.op is not code_op[code])
+                    ) or (state is UPD and not is_comm)
                 else:
-                    conflict = False
+                    conflict = is_comm and comm_never
                 if conflict:
                     access = new_access(MemoryAccess)
                     access.access_type = code_type[code]
@@ -983,8 +963,6 @@ class MesiProtocol(CoherenceProtocol):
                     result = self.resolve_slow(core_id, access, line_addr, state, level, issue)
                     total = result.total_latency
                     slat.add(result.latency)
-                    if result.private_hit:
-                        stats.l1_hits += 1
                     n_resolve += 1
                 else:
                     if level is None:
@@ -1020,9 +998,3 @@ class MesiProtocol(CoherenceProtocol):
                 # Still the earliest slot: keep retiring its trace in order.
 
         return retired, n_slow, n_resolve
-
-    def _hit_value(self, access: MemoryAccess):
-        """Value a private hit returns through the full :meth:`access` API."""
-        if access.access_type is AccessType.STORE:
-            return None
-        return self._functional_load(access)

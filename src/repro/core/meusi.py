@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.commutative import ALL_OPS, CommutativeOp, DeltaBuffer
-
-#: Op -> index in :data:`ALL_OPS`, for the batch-classification contract.
-_OP_INDEX = {op: index for index, op in enumerate(ALL_OPS)}
+from repro.core.commutative import CommutativeOp, DeltaBuffer
 from repro.core.mesi import MesiProtocol
 from repro.core.protocol import AccessOutcome
 from repro.core.states import LineMode, StableState
 from repro.interconnect.messages import LinkScope, MessageType
 from repro.sim.access import AccessType, MemoryAccess
+from repro.sim.columnar import NO_OP_INDEX, OP_INDEX
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
@@ -81,15 +79,16 @@ class MeusiProtocol(MesiProtocol):
         order — floating-point reductions make that order observable — so
         first-buffering updates are deliberately sent through the globally
         ordered slow/inline path instead of a reordered hit-run.  Returns
-        the op's :data:`~repro.core.commutative.ALL_OPS` index, or 255
-        (``UOP_NONE``) when the line must classify slow.
+        the op's :data:`~repro.sim.columnar.OP_INDEX`, or
+        :data:`~repro.sim.columnar.NO_OP_INDEX` when the line must classify
+        slow.
         """
         entry = self.directory.peek(line_addr)
         if entry is None or entry.op is None:
-            return 255
+            return NO_OP_INDEX
         if self.track_values and (core_id, line_addr) not in self.delta_buffers:
-            return 255
-        return _OP_INDEX[entry.op]
+            return NO_OP_INDEX
+        return OP_INDEX[entry.op]
 
     def _commit_buffer(self, core_id: int, line_addr: int) -> int:
         """Fold one core's delta buffer into the memory image.
@@ -231,45 +230,6 @@ class MeusiProtocol(MesiProtocol):
 
     # ------------------------------------------------------------- main entry
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
-        """MEUSI hot path: local commutative updates return just the hit level.
-
-        See :meth:`MesiProtocol.access_hot` for the return convention.  The
-        public :meth:`access` API (inherited from the base class) wraps the
-        integer form back into a full :class:`AccessOutcome`.
-        """
-        line_addr = access.address >> self._line_shift
-        access_type = access.access_type
-        if access_type is AccessType.REMOTE_UPDATE:
-            # A COUP machine executes remote updates as commutative updates.
-            access_type = AccessType.COMMUTATIVE_UPDATE
-
-        if access_type is AccessType.COMMUTATIVE_UPDATE:
-            states = self.core_states[core_id]
-            state = states.get(line_addr)
-            entry = self.directory.peek(line_addr)
-            level = self._private_level(core_id, line_addr)
-            if level and state is not None:
-                if state is StableState.MODIFIED or state is StableState.EXCLUSIVE:
-                    # Our own M/E copy can absorb any commutative update.
-                    states[line_addr] = StableState.MODIFIED
-                    self._functional_update(access)
-                    self.stat_local_updates += 1
-                    return level
-                if (
-                    state is StableState.UPDATE
-                    and access.op is not None
-                    and entry is not None
-                    and entry.op is access.op
-                ):
-                    # U-state line of the same update type: buffer locally.
-                    self._apply_local_update(core_id, access)
-                    self.stat_local_updates += 1
-                    return level
-            return self.resolve_slow(core_id, access, line_addr, state, level, now)
-
-        return self.resolve_slow(core_id, access, line_addr, None, None, now)
-
     def resolve_slow(
         self,
         core_id: int,
@@ -281,15 +241,9 @@ class MeusiProtocol(MesiProtocol):
     ) -> AccessOutcome:
         access_type = access.access_type
         entry = self.directory.peek(line_addr)
-        if (
-            access_type is AccessType.COMMUTATIVE_UPDATE
-            or access_type is AccessType.REMOTE_UPDATE
-        ):
-            if (
-                entry is not None
-                and entry.mode is LineMode.UPDATE_ONLY
-                and entry.op is not access.op
-            ):
+        update_only = entry is not None and entry.mode is LineMode.UPDATE_ONLY
+        if access_type.is_commutative:
+            if update_only and entry.op is not access.op:
                 if level is None:
                     self._private_level(core_id, line_addr)
                 self.current_time = now
@@ -299,27 +253,22 @@ class MeusiProtocol(MesiProtocol):
             # U1-U5: the shared transaction shapes (GetU under local folding).
             return self._resolve_transaction(core_id, access, line_addr, state, level, now)
 
-        if entry is not None and entry.mode is LineMode.UPDATE_ONLY:
+        if update_only:
             self.current_time = now
             return self._demand_on_update_mode_line(
                 core_id, access, access_type, line_addr, now
             )
 
-        # A core's own U-state line cannot satisfy loads/stores; drop to I
-        # first so the base-class transaction logic treats it as a miss.
-        # This can only happen if the directory entry lost update mode,
-        # which the full-reduction path above prevents; keep as safety net.
+        # A core's own U-state line cannot satisfy loads/stores; drop it to
+        # untracked first so the transaction treats it as a miss.  This can
+        # only happen if the directory entry lost update mode, which the
+        # full-reduction path above prevents; kept as a safety net.
         if self.core_states[core_id].get(line_addr) is StableState.UPDATE:
             self.current_time = now
             self._commit_buffer(core_id, line_addr)
             self._set_state(core_id, line_addr, StableState.INVALID)
             self.directory.remove_sharer(line_addr, core_id)
-
-        if level is None:
-            # The private caches have not been probed yet (update-mode and
-            # safety-net cases above, or the compatibility path): run the
-            # full base-class resolution, which probes exactly once.
-            return MesiProtocol.access_hot(self, core_id, access, now)
+            state = None
         return self._resolve_transaction(core_id, access, line_addr, state, level, now)
 
     def _demand_on_update_mode_line(
@@ -373,11 +322,6 @@ class MeusiProtocol(MesiProtocol):
         outcome.value = self._functional_load(access)
         return outcome
 
-    def _hit_value(self, access: MemoryAccess):
-        if access.access_type.is_commutative:
-            return None  # Commutative hits buffer a delta; nothing is returned.
-        return super()._hit_value(access)
-
     # ---------------------------------------------------------------- finalize
 
     def finalize(self) -> None:
@@ -392,14 +336,3 @@ class MeusiProtocol(MesiProtocol):
         # repro-lint: disable=D102(buffers commit independently per line; insertion order is the deterministic trace order, pinned by golden fingerprints)
         for (core_id, line_addr) in list(self.delta_buffers.keys()):
             self._commit_buffer(core_id, line_addr)
-
-    # -------------------------------------------------------------- statistics
-
-    def reduction_statistics(self) -> dict:
-        """Reduction-related counters used by experiments and tests."""
-        return {
-            "local_updates": self.stat_local_updates,
-            "update_grants": self.stat_update_grants,
-            "full_reductions": self.stat_full_reductions,
-            "partial_reductions": self.stat_partial_reductions,
-        }

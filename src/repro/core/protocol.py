@@ -16,17 +16,25 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.commutative import CommutativeOp
 from repro.core.directory import Directory
 from repro.core.reduction import ReductionUnit
+from repro.core.states import StableState
+from repro.hierarchy.cache import (
+    STATE_ABSENT,
+    STATE_EXCLUSIVE,
+    STATE_MODIFIED,
+    STATE_SHARED,
+    STATE_UPDATE,
+)
 from repro.hierarchy.system import CacheHierarchy
 from repro.interconnect.network import InterconnectModel
 from repro.sim.access import MemoryAccess
+from repro.sim.columnar import NO_OP_INDEX
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
@@ -50,17 +58,65 @@ class AccessOutcome:
         return self.latency.total
 
 
+# -- the private-hit rule -------------------------------------------------------
+
+#: Hit-table actions.  ``ACT_SLOW`` goes to ``resolve_slow`` unprobed; the
+#: others probe the private caches once, then ``ACT_PROBE`` goes to
+#: ``resolve_slow`` and a private hit retires inline: ``ACT_HIT`` as is,
+#: ``ACT_HIT_M`` leaving the line in M (a store, an atomic, an update the
+#: owned copy absorbs), ``ACT_BUFFER`` buffering an update of the U line's
+#: op.  A miss, or an update of another op, goes to ``resolve_slow``.
+ACT_SLOW, ACT_PROBE, ACT_HIT, ACT_HIT_M, ACT_BUFFER = range(5)
+
+#: Folding mode (``HOT_COMMUTATIVE``) -> the cells of a commutative or remote
+#: update to a line held in S, in E/M, and in U.
+_UPDATE_CELLS = {
+    "atomic": (ACT_PROBE, ACT_HIT_M, ACT_PROBE),
+    "local": (ACT_PROBE, ACT_HIT_M, ACT_BUFFER),
+    "never": (ACT_SLOW, ACT_SLOW, ACT_SLOW),
+}
+
+#: StableState (``None``: untracked) -> hit-table row = tag-mirror code.
+STATE_CODE = {
+    None: STATE_ABSENT,
+    StableState.INVALID: STATE_ABSENT,
+    StableState.SHARED: STATE_SHARED,
+    StableState.EXCLUSIVE: STATE_EXCLUSIVE,
+    StableState.MODIFIED: STATE_MODIFIED,
+    StableState.UPDATE: STATE_UPDATE,
+}
+
+
+def hit_table(folding: str) -> Tuple[Tuple[int, ...], ...]:
+    """The private-hit rule (paper Sec. 3, Fig. 6) of one folding mode.
+
+    Rows are ``STATE_*`` codes, columns ``KIND_*`` slots.  Loads hit in
+    S/E/M, stores and atomics in E/M.  Updates run as atomics under
+    ``"atomic"`` (MESI), also buffer in U under ``"local"`` (MEUSI), and go
+    to the home bank unprobed under ``"never"`` (RMO).  Demands on a U line
+    skip the probe: ``resolve_slow`` reduces the line first.
+    """
+    shared, owned, update = _UPDATE_CELLS[folding]
+    rows = {
+        STATE_ABSENT: (ACT_SLOW,) * 5,
+        STATE_SHARED: (ACT_HIT, ACT_PROBE, ACT_PROBE, shared, shared),
+        STATE_EXCLUSIVE: (ACT_HIT, ACT_HIT_M, ACT_HIT_M, owned, owned),
+        STATE_MODIFIED: (ACT_HIT, ACT_HIT_M, ACT_HIT_M, owned, owned),
+        STATE_UPDATE: (ACT_SLOW, ACT_SLOW, ACT_SLOW, update, update),
+    }
+    return tuple(rows[code] for code in sorted(rows))
+
+
 class CoherenceProtocol(abc.ABC):
     """Base class for the stable-state protocol engines (MESI, MEUSI, RMO)."""
 
     #: Human-readable protocol name used in results and experiment tables.
     name: str = "abstract"
 
-    #: How the hot path treats commutative/remote updates: ``"atomic"`` folds
+    #: How private hits treat commutative/remote updates: ``"atomic"`` folds
     #: them into atomic read-modify-writes (MESI), ``"local"`` applies COUP's
     #: update-only rules (MEUSI), ``"never"`` forces the slow path (RMO).
-    #: The simulator's retire loop (``resolve_slow_batch``) and the batched
-    #: kernel's :meth:`hot_mask` both key their private-hit rules on it.
+    #: The engine's hit table (:func:`hit_table`) is built from it alone.
     HOT_COMMUTATIVE: str = "atomic"
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
@@ -120,7 +176,19 @@ class CoherenceProtocol(abc.ABC):
         self._l3_caches = self.hierarchy.l3
         self._l4_caches = self.hierarchy.l4
         self._memory = self.hierarchy.memory
+        #: The private L1/L2 probe (1: L1 hit, 2: L2 hit, 0: miss).  The
+        #: retire loop inlines it; see ``CacheHierarchy.private_lookup_level``.
+        self._private_level = self.hierarchy.private_lookup_level
         self._n_l4_chips = config.n_l4_chips
+        table = hit_table(self.HOT_COMMUTATIVE)
+        #: The hit table's rows for the retire loop and ``access``, keyed by
+        #: ``StableState._value_`` (a str hash is cached, an enum's is not).
+        self.hit_rows = {
+            None if state is None else state._value_: list(table[STATE_CODE[state]])
+            for state in (None, *StableState)
+        }
+        #: The hit table for :meth:`hot_mask`.
+        self.hit_array = np.array(table, dtype=np.uint8)
         #: One reduction unit per L3 bank per chip plus one per L4 bank.
         self.l3_reduction_units = {
             (chip, bank): ReductionUnit(config.reduction_unit, name=f"rdu.l3.{chip}.{bank}")
@@ -161,18 +229,6 @@ class CoherenceProtocol(abc.ABC):
         """
         return self.memory_image.get(address, 0)
 
-    def _write_word(self, address: int, value) -> None:
-        if self.track_values and value is not None:
-            self.memory_image[address] = value
-
-    def _apply_update(self, address: int, op: CommutativeOp, value) -> None:
-        if not self.track_values or value is None:
-            return
-        current = self.memory_image.get(address, op.identity if address not in self.memory_image else 0)
-        if address not in self.memory_image:
-            current = 0 if op.identity == 0 or isinstance(op.identity, float) else op.identity
-        self.memory_image[address] = op.apply(current, value)
-
     # -- telemetry -------------------------------------------------------------
 
     def obs_fold_stats(self) -> None:
@@ -197,18 +253,6 @@ class CoherenceProtocol(abc.ABC):
     def access(self, core_id: int, access: MemoryAccess, now: float) -> AccessOutcome:
         """Resolve one access issued by ``core_id`` at simulator time ``now``."""
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
-        """Hot-path form of :meth:`access`.
-
-        Returns ``1`` (L1 private hit) or ``2`` (L2 private hit) when the
-        access was satisfied entirely within the core's private hierarchy —
-        all protocol state, functional values, and cache statistics already
-        updated — so the caller can charge the fixed private-hit latency
-        without any :class:`AccessOutcome` allocation.  Any access that needs
-        directory or transaction machinery returns the full outcome instead.
-        """
-        return self.access(core_id, access, now)
-
     def resolve_slow(
         self,
         core_id: int,
@@ -218,17 +262,15 @@ class CoherenceProtocol(abc.ABC):
         level,
         now: float,
     ) -> AccessOutcome:
-        """Resolve an access the simulator's inline private-hit rules rejected.
+        """Resolve an access its hit-table cell does not retire as a hit.
 
-        The simulator's retire loop replicates the private-hit rules against
-        this engine's tables (``core_states``, the private cache arrays, and
-        for MEUSI the directory's update-only entries) and only calls this
-        method for accesses that need transaction machinery.  ``state`` is
-        the core's stable state for the line (``None`` if untracked) and
-        ``level`` is the private-lookup result if the simulator already
-        probed the caches — or ``None`` if it did not, in which case the
-        probe must happen here so lookup statistics and LRU state advance
-        exactly once per access.
+        The retire loop and :meth:`access` call this after running the
+        engine's hit table (:func:`hit_table`).  ``state`` is the core's
+        stable state for the line (``None`` if untracked) and ``level`` the
+        private-probe result, or ``None`` for an ``ACT_SLOW`` cell, which
+        does not probe: then the probe happens here, if the transaction needs
+        it, so lookup statistics and LRU state advance exactly once per
+        access.
         """
         raise NotImplementedError
 
@@ -240,13 +282,12 @@ class CoherenceProtocol(abc.ABC):
         uops: Optional[np.ndarray],
         op_index: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized twin of the inline private-hit rules (batch contract).
+        """The hit table, vectorized over one window of a core's trace.
 
-        Given one chunk of a core's columnar trace, return a boolean array
-        marking the accesses the engine would satisfy entirely within the
-        core's private L1 with **no** protocol action — exactly the L1 hits
-        among the accesses the simulator's retire loop resolves inline.
-        Inputs are parallel arrays over the chunk:
+        Returns a boolean array marking the accesses that are private L1
+        hits the hit table retires inline: exactly the L1 hits among the
+        accesses the retire loop would retire as hits.  Inputs are parallel
+        arrays over the window:
 
         ``kinds``
             Access kind per :data:`repro.sim.columnar.CODE_KIND`.
@@ -258,41 +299,17 @@ class CoherenceProtocol(abc.ABC):
             (``repro.hierarchy.cache.STATE_*``; 0 when absent/untracked).
         ``uops``
             For ``STATE_UPDATE`` lines, the directory entry's op index when
-            same-type updates may buffer locally (else ``UOP_NONE``).
-            ``None`` unless :attr:`HOT_COMMUTATIVE` is ``"local"``.
+            same-type updates may buffer locally (else ``NO_OP_INDEX``).
+            Read only where the table has an ``ACT_BUFFER`` cell.
         ``op_index``
             The access's own op index (:data:`repro.sim.columnar.CODE_OP_INDEX`).
-
-        The generic implementation is driven by :attr:`HOT_COMMUTATIVE`, the
-        same switch the inline path uses, so the MESI family shares it:
-        loads hit on S/E/M, stores and atomics on E/M, and commutative or
-        remote updates follow the engine's folding rule.  MEUSI's
-        update-state lines classify hot only for matching-op buffering;
-        everything touching reduction units classifies slow.  Engines with
-        different stable-state semantics must override this.
         """
-        from repro.hierarchy.cache import (
-            STATE_EXCLUSIVE,
-            STATE_MODIFIED,
-            STATE_UPDATE,
-            UOP_NONE,
-        )
-        from repro.sim.columnar import KIND_LOAD, KIND_COMMUTATIVE
-
-        writable = member & ((states == STATE_EXCLUSIVE) | (states == STATE_MODIFIED))
-        readable = member & (states != 0) & (states != STATE_UPDATE)
-        hot = np.where(kinds == KIND_LOAD, readable, writable)
-        commutative = kinds >= KIND_COMMUTATIVE
-        if self.HOT_COMMUTATIVE == "never":
-            hot &= ~commutative
-        elif self.HOT_COMMUTATIVE == "local":
-            update_ok = (
-                member
-                & (states == STATE_UPDATE)
-                & (uops != UOP_NONE)
-                & (uops == op_index)
-            )
-            hot |= commutative & update_ok
+        # The flat take is the 2-D lookup hit_array[states, kinds], faster.
+        action = self.hit_array.take(states * self.hit_array.shape[1] + kinds)
+        hot = member & (action >= ACT_HIT)
+        buffer = hot & (action == ACT_BUFFER)
+        if buffer.any():
+            hot &= ~buffer | ((uops == op_index) & (uops != NO_OP_INDEX))
         return hot
 
     def finalize(self) -> None:
@@ -301,43 +318,6 @@ class CoherenceProtocol(abc.ABC):
         MEUSI overrides this to reduce any outstanding update-only lines so
         that the functional memory image reflects all buffered deltas.
         """
-
-    def _private_level(self, core_id: int, line_addr: int) -> int:
-        """Private L1/L2 lookup with the L1 probe inlined (hot path).
-
-        Behaviourally identical to
-        :meth:`repro.hierarchy.system.CacheHierarchy.private_lookup_level`
-        (same hit/miss counters, same LRU refresh, same L1 refill on an L2
-        hit) but with the overwhelmingly common L1 hit resolved without any
-        intermediate calls.  Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
-
-        WARNING: this probe is intentionally hand-duplicated for speed in
-        two places — here and the retire loop's hit probe
-        (``MesiProtocol.resolve_slow_batch``).  Any change to probe semantics
-        must be applied to both (and to the reference form
-        ``CacheHierarchy.private_lookup_level``); the golden-equivalence suite
-        (tests/sim/test_golden_equivalence.py) catches divergence.
-        """
-        l1 = self._l1_caches[core_id]
-        cache_set = l1._sets.get(line_addr % l1._num_sets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
-            l1.hits += 1
-            l1._tick = tick = l1._tick + 1
-            info.last_use = tick
-            return 1
-        l1.misses += 1
-        l2 = self._l2_caches[core_id]
-        cache_set = l2._sets.get(line_addr % l2._num_sets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
-            l2.hits += 1
-            l2._tick = tick = l2._tick + 1
-            info.last_use = tick
-            l1.insert(line_addr)
-            return 2
-        l2.misses += 1
-        return 0
 
     # -- shared latency helpers -------------------------------------------------
 

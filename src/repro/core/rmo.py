@@ -20,7 +20,7 @@ from typing import Dict
 from repro.core.mesi import MesiProtocol
 from repro.core.protocol import AccessOutcome
 from repro.interconnect.messages import LinkScope, MessageType
-from repro.sim.access import AccessType, MemoryAccess
+from repro.sim.access import MemoryAccess
 from repro.sim.config import SystemConfig
 
 
@@ -29,11 +29,11 @@ class RmoProtocol(MesiProtocol):
 
     name = "RMO"
     #: Remote/commutative updates always travel to the home bank, so the
-    #: batched kernel's hot mask (``HOT_COMMUTATIVE = "never"``) classifies
-    #: every update slow; only loads and stores batch into hit-runs.  The
-    #: retire loop sends each update through :meth:`resolve_slow` in the
-    #: canonical order, so the bank-ALU queue (``_bank_busy_until``) is only
-    #: touched in that order, which keeps batching bit-identical.
+    #: hit table (``HOT_COMMUTATIVE = "never"``) sends every update to
+    #: :meth:`resolve_slow` unprobed; only loads and stores hit.  The retire
+    #: loop resolves each update in the canonical order, so the bank-ALU
+    #: queue (``_bank_busy_until``) is only touched in that order, which
+    #: keeps batching bit-identical.
     HOT_COMMUTATIVE = "never"
 
     #: Cycles the home bank ALU is occupied per remote update.
@@ -107,17 +107,6 @@ class RmoProtocol(MesiProtocol):
             self.directory.remove_sharer(line_addr, core_id)
             self.directory.drop_if_uncached(line_addr)
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
-        """RMO hot path: updates always travel to the home bank (never hit)."""
-        access_type = access.access_type
-        if (
-            access_type is AccessType.REMOTE_UPDATE
-            or access_type is AccessType.COMMUTATIVE_UPDATE
-        ):
-            self.current_time = now
-            return self._remote_update(core_id, access, now)
-        return MesiProtocol.access_hot(self, core_id, access, now)
-
     def resolve_slow(
         self,
         core_id: int,
@@ -127,11 +116,7 @@ class RmoProtocol(MesiProtocol):
         level,
         now: float,
     ):
-        access_type = access.access_type
-        if (
-            access_type is AccessType.REMOTE_UPDATE
-            or access_type is AccessType.COMMUTATIVE_UPDATE
-        ):
+        if access.access_type.is_commutative:
             # Remote updates bypass the private hierarchy entirely; no probe.
             self.current_time = now
             return self._remote_update(core_id, access, now)

@@ -20,7 +20,8 @@ class StableState(enum.Enum):
     ``MODIFIED``/``EXCLUSIVE``/``SHARED``/``INVALID`` are the conventional
     MESI states.  ``UPDATE`` is COUP's update-only state (U): the cache may
     buffer commutative updates of the line's current operation type, but may
-    not satisfy reads.
+    not satisfy reads.  Which accesses each state satisfies locally is the
+    engines' hit table (:func:`repro.core.protocol.hit_table`).
     """
 
     INVALID = "I"
@@ -28,29 +29,6 @@ class StableState(enum.Enum):
     EXCLUSIVE = "E"
     MODIFIED = "M"
     UPDATE = "U"
-
-    @property
-    def can_read(self) -> bool:
-        """Whether a core may satisfy a load from a line in this state."""
-        return self in (StableState.SHARED, StableState.EXCLUSIVE, StableState.MODIFIED)
-
-    @property
-    def can_write(self) -> bool:
-        """Whether a core may satisfy an ordinary store from this state."""
-        return self in (StableState.EXCLUSIVE, StableState.MODIFIED)
-
-    def can_update(self, op: Optional[CommutativeOp], line_op: Optional[CommutativeOp]) -> bool:
-        """Whether a commutative update of type ``op`` can proceed locally.
-
-        ``M`` (and ``E``, which silently upgrades to ``M``) can satisfy any
-        update because the cache holds the actual value.  ``U`` can satisfy
-        updates only of the same type currently buffered on the line.
-        """
-        if self in (StableState.EXCLUSIVE, StableState.MODIFIED):
-            return True
-        if self is StableState.UPDATE:
-            return op is not None and op is line_op
-        return False
 
 
 class RequestType(enum.Enum):

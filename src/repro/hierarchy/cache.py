@@ -17,6 +17,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.columnar import NO_OP_INDEX
 from repro.sim.config import CacheConfig
 
 
@@ -208,9 +209,6 @@ STATE_EXCLUSIVE = 2
 STATE_MODIFIED = 3
 STATE_UPDATE = 4
 
-#: Sentinel for "no classifiable update op" in :attr:`TagArray.uop`.
-UOP_NONE = 255
-
 
 class TagArray:
     """Flat NumPy mirror of one :class:`SetAssociativeCache`'s residency.
@@ -227,16 +225,14 @@ class TagArray:
       ``STATE_*`` codes above,
     * ``uop`` — for ``STATE_UPDATE`` lines, the index of the directory
       entry's commutative op when the line can buffer same-type updates
-      locally (:data:`UOP_NONE` otherwise).
+      locally (:data:`~repro.sim.columnar.NO_OP_INDEX` otherwise).
 
     The mirror tracks *membership and classification inputs only* — the
     object cache remains authoritative for LRU order and statistics.  It is
-    kept coherent lazily: the kernel rebuilds it from the object cache at
-    slow-path boundaries (any protocol action that may move lines) and
-    applies cheap incremental updates for the two hot mutations that happen
-    between them (an L2-hit promotion into the L1, and a U-line gaining a
-    classifiable op).  Way order within a set is arbitrary; only membership
-    matters.
+    never edited in place: the kernel rebuilds it from the object cache
+    (:meth:`clear`, then every resident line) each time it takes over the
+    simulation, and only hits run until it hands back, which cannot move a
+    line.  Way order within a set is arbitrary; only membership matters.
     """
 
     __slots__ = ("num_sets", "ways", "tags", "state", "uop")
@@ -246,73 +242,16 @@ class TagArray:
         self.ways = config.ways
         self.tags = np.full((self.num_sets, self.ways), TAG_EMPTY, dtype=np.uint64)
         self.state = np.zeros((self.num_sets, self.ways), dtype=np.uint8)
-        self.uop = np.full((self.num_sets, self.ways), UOP_NONE, dtype=np.uint8)
+        self.uop = np.full((self.num_sets, self.ways), NO_OP_INDEX, dtype=np.uint8)
 
     def clear(self) -> None:
         """Empty every way (start of a rebuild)."""
         self.tags.fill(TAG_EMPTY)
         self.state.fill(STATE_ABSENT)
-        self.uop.fill(UOP_NONE)
+        self.uop.fill(NO_OP_INDEX)
 
     def fill_way(self, set_index: int, way: int, line_addr: int, state: int, uop: int) -> None:
         """Install one line during a rebuild (no victim handling)."""
         self.tags[set_index, way] = line_addr
         self.state[set_index, way] = state
         self.uop[set_index, way] = uop
-
-    def place(
-        self, line_addr: int, state: int, uop: int, victim_addr: Optional[int] = None
-    ) -> bool:
-        """Install a line, replacing ``victim_addr``'s way (or an empty one).
-
-        Mirrors an L1 fill performed by the object cache: the caller learned
-        the victim (if any) from :meth:`SetAssociativeCache.insert`.  Returns
-        False when no slot could be found — the mirror has drifted from the
-        object cache and the caller must mark it stale for a rebuild.
-        """
-        set_index = line_addr % self.num_sets
-        row = self.tags[set_index]
-        if victim_addr is not None:
-            slots = np.flatnonzero(row == np.uint64(victim_addr))
-        else:
-            slots = np.flatnonzero(row == TAG_EMPTY)
-        if not slots.size:
-            return False
-        way = int(slots[0])
-        self.fill_way(set_index, way, line_addr, state, uop)
-        return True
-
-    def set_uop(self, line_addr: int, uop: int) -> None:
-        """Update the op code of a resident line (no-op if absent)."""
-        set_index = line_addr % self.num_sets
-        row = self.tags[set_index]
-        slots = np.flatnonzero(row == np.uint64(line_addr))
-        if slots.size:
-            self.uop[set_index, int(slots[0])] = uop
-
-    def update_line(self, line_addr: int, state: int, uop: int) -> None:
-        """Repair one line after a cross-core coherence action.
-
-        ``state == STATE_ABSENT`` removes the line (invalidation); any other
-        state updates the resident way in place (downgrade).  A line the
-        mirror does not hold is a no-op — cross-core actions never *add*
-        lines to another core's private cache, so absence stays absence.
-        """
-        set_index = line_addr % self.num_sets
-        row = self.tags[set_index]
-        slots = np.flatnonzero(row == np.uint64(line_addr))
-        if not slots.size:
-            return
-        way = int(slots[0])
-        if state == STATE_ABSENT:
-            row[way] = TAG_EMPTY
-            self.state[set_index, way] = STATE_ABSENT
-            self.uop[set_index, way] = UOP_NONE
-        else:
-            self.state[set_index, way] = state
-            self.uop[set_index, way] = uop
-
-    def resident(self, line_addr: int) -> bool:
-        """Membership probe (tests and debugging; the kernel uses arrays)."""
-        row = self.tags[line_addr % self.num_sets]
-        return bool((row == np.uint64(line_addr)).any())

@@ -70,12 +70,12 @@ class CacheHierarchy:
         """Check the core's L1 then L2; refresh LRU on a hit.
 
         Returns 1 for an L1 hit, 2 for an L2 hit, 0 for a private miss.  This
-        is the reference form of the probe, reached through
-        :meth:`private_lookup`; the engines and simulator loops run faster
-        hand-inlined copies of it, listed in the WARNING of
-        ``CoherenceProtocol._private_level``.  Any semantic change here must
-        be applied to every copy (the golden-equivalence suite catches
-        divergence).
+        is the probe every engine path runs (``CoherenceProtocol._private_level``
+        is this method), except the retire loop, which inlines it for speed.
+        WARNING: any semantic change here must be applied to that copy in
+        ``MesiProtocol.resolve_slow_batch``; the golden-equivalence suite
+        and the differential lane's ``api-equivalence`` check catch
+        divergence.
 
         An L2 hit also fills the L1 (possibly evicting an L1 victim, which is
         harmless here because the L2 is inclusive of the L1).

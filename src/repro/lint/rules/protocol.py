@@ -20,12 +20,6 @@ from repro.lint.context import (
 from repro.lint.engine import Rule, SourceModule
 from repro.lint.violations import Violation
 
-#: Base classes known to provide a valid generic ``hot_mask`` (the MESI
-#: family shares :meth:`CoherenceProtocol.hot_mask`).
-_HOT_MASK_PROVIDERS = frozenset(
-    {"CoherenceProtocol", "MesiProtocol", "MeusiProtocol", "RmoProtocol"}
-)
-
 #: Base classes known to provide the retire loop
 #: (:meth:`MesiProtocol.resolve_slow_batch` services the MESI family).
 _RETIRE_LOOP_PROVIDERS = frozenset({"MesiProtocol", "MeusiProtocol", "RmoProtocol"})
@@ -70,26 +64,75 @@ class UnknownEnumMemberRule(Rule):
         return findings
 
 
+def hit_table_problems(folding: str) -> List[str]:
+    """How the hit table of ``folding`` breaks the private-hit contract.
+
+    The table (:func:`repro.core.protocol.hit_table`) is the one encoding of
+    the private-hit rule that ``hot_mask``, the retire loop and ``access()``
+    read: it must be 5 states x 5 access kinds of legal actions, a load
+    never hits from an absent or U line, a store or atomic hits only from
+    E/M, and only update-only (``"local"``) folding buffers.
+    """
+    from repro.core import protocol
+    from repro.hierarchy.cache import (
+        STATE_ABSENT,
+        STATE_EXCLUSIVE,
+        STATE_MODIFIED,
+        STATE_UPDATE,
+    )
+    from repro.sim.columnar import KIND_ATOMIC, KIND_LOAD, KIND_STORE
+
+    table = protocol.hit_table(folding)
+    if [len(row) for row in table] != [5] * 5:
+        return ["the table is not 5 stable states x 5 access kinds"]
+    hits = {protocol.ACT_HIT, protocol.ACT_HIT_M, protocol.ACT_BUFFER}
+    legal = hits | {protocol.ACT_SLOW, protocol.ACT_PROBE}
+    cells = [
+        (row, kind, action)
+        for row, actions in enumerate(table)
+        for kind, action in enumerate(actions)
+    ]
+    problems = []
+    illegal = [(row, kind) for row, kind, action in cells if action not in legal]
+    if illegal:
+        problems.append(f"cells (state, kind) {illegal} hold no legal action")
+    if {table[STATE_ABSENT][KIND_LOAD], table[STATE_UPDATE][KIND_LOAD]} & hits:
+        problems.append("a load hits from an absent or U line")
+    owned = {STATE_EXCLUSIVE, STATE_MODIFIED}
+    if any(
+        action in hits and row not in owned
+        for row, kind, action in cells
+        if kind in (KIND_STORE, KIND_ATOMIC)
+    ):
+        problems.append("a store or atomic hits outside E/M")
+    if folding != "local" and any(
+        action == protocol.ACT_BUFFER for _row, _kind, action in cells
+    ):
+        problems.append("ACT_BUFFER outside update-only ('local') folding")
+    return problems
+
+
 class BatchContractRule(Rule):
     """P202: the simulator's contract on protocol classes.
 
     Every engine runs under the simulator's retire loop and its batched
     kernel, so a protocol class — one declaring ``HOT_COMMUTATIVE`` — must
-    provide what they call: a ``hot_mask`` (own or inherited from the MESI
-    family), a ``resolve_slow_batch`` retire loop (own or inherited from
-    the MESI family), a legal ``HOT_COMMUTATIVE`` folding mode, and — for
-    ``"local"`` folding — a ``batch_uop_code`` hook so U-line buffering can
-    be classified per window.  A run-level check additionally verifies the
-    104-entry columnar type-code table still covers every code the kernel
-    classifies, and that every live engine honours the same contract.
+    provide what they call: a legal ``HOT_COMMUTATIVE`` folding mode whose
+    hit table keeps the private-hit contract (:func:`hit_table_problems`),
+    a ``resolve_slow_batch`` retire loop (own or inherited from the MESI
+    family), and — for ``"local"`` folding — a ``batch_uop_code`` hook so
+    U-line buffering can be classified per window.  A run-level check
+    additionally verifies the 104-entry columnar type-code table still
+    covers every code the kernel classifies, and that every live engine
+    honours the same contract.
     """
 
     code = "P202"
     symbol = "batch-contract"
     description = (
-        "protocol classes must declare the simulator's contract (hot_mask, "
-        "resolve_slow_batch, legal HOT_COMMUTATIVE, batch_uop_code for "
-        "local folding)"
+        "protocol classes must declare the simulator's contract (legal "
+        "HOT_COMMUTATIVE with a well-formed hit table, resolve_slow_batch, "
+        "batch_uop_code for local folding)"
     )
 
     def applies(self, relpath: str) -> bool:
@@ -135,6 +178,16 @@ class BatchContractRule(Rule):
                     f"of {sorted(HOT_COMMUTATIVE_VALUES)}",
                 )
             )
+        elif hot_commutative is not None:
+            for problem in hit_table_problems(str(hot_commutative)):
+                findings.append(
+                    self.violation(
+                        module,
+                        node,
+                        f"{node.name}: hit table of HOT_COMMUTATIVE="
+                        f"{hot_commutative!r}: {problem}",
+                    )
+                )
         if hot_commutative == "local" and "batch_uop_code" not in methods:
             findings.append(
                 self.violation(
@@ -148,15 +201,6 @@ class BatchContractRule(Rule):
 
         if hot_commutative is None or "ABC" in base_names:
             return findings  # not a concrete protocol engine
-        if "hot_mask" not in methods and not base_names & _HOT_MASK_PROVIDERS:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: no hot_mask is defined or inherited from "
-                    "the MESI family",
-                )
-            )
         if (
             "resolve_slow_batch" not in methods
             and not base_names & _RETIRE_LOOP_PROVIDERS
@@ -231,11 +275,13 @@ class BatchContractRule(Rule):
             problems = []
             if not callable(getattr(protocol_cls, "resolve_slow_batch", None)):
                 problems.append("lacks a callable resolve_slow_batch")
-            if not callable(getattr(protocol_cls, "hot_mask", None)):
-                problems.append("lacks a callable hot_mask")
             folding = getattr(protocol_cls, "HOT_COMMUTATIVE", None)
             if folding not in HOT_COMMUTATIVE_VALUES:
                 problems.append(f"illegal HOT_COMMUTATIVE={folding!r}")
+            else:
+                problems.extend(
+                    f"hit table: {problem}" for problem in hit_table_problems(folding)
+                )
             if folding == "local" and not callable(
                 getattr(protocol_cls, "batch_uop_code", None)
             ):

@@ -170,15 +170,20 @@ CODE_KIND = np.array(
     [KIND_OF_TYPE[access_type] for access_type in CODE_ACCESS_TYPE], dtype=np.uint8
 )
 
-#: Sentinel for "no commutative op" in :data:`CODE_OP_INDEX`.
+#: Commutative op -> its index in :data:`ALL_OPS`, the op-index space of
+#: :data:`CODE_OP_INDEX` and of U lines in the kernel's tag mirror.
+OP_INDEX = {op: index for index, op in enumerate(ALL_OPS)}
+
+#: Sentinel op index for "no commutative op": loads and stores in
+#: :data:`CODE_OP_INDEX`, and U lines that may not buffer in the tag mirror.
 NO_OP_INDEX = 255
 
-#: NumPy lookup table: code -> index into :data:`ALL_OPS` (or
-#: :data:`NO_OP_INDEX` for loads/stores).  The batched kernel compares these
-#: against the directory entry's op index to vectorize MEUSI's
-#: same-update-type rule for U-state lines.
+#: NumPy lookup table: code -> :data:`OP_INDEX` (or :data:`NO_OP_INDEX` for
+#: loads/stores).  The batched kernel compares these against the directory
+#: entry's op index to vectorize MEUSI's same-update-type rule for U-state
+#: lines.
 CODE_OP_INDEX = np.array(
-    [ALL_OPS.index(op) if op is not None else NO_OP_INDEX for op in CODE_OP],
+    [OP_INDEX[op] if op is not None else NO_OP_INDEX for op in CODE_OP],
     dtype=np.uint8,
 )
 

@@ -12,8 +12,9 @@ the interpreter from that common case, and does nothing else:
   the kernel holds the simulation, so the mirrors stay exact until it hands
   back, and the next entry rebuilds them.
 * Per window of the columnar trace (up to :data:`BATCH_SIZE` accesses), the
-  "is this a private L1 hit in a stable state?" predicate is evaluated for
-  the whole window at once against the tag mirror
+  engine's hit table (:func:`repro.core.protocol.hit_table`, the private-hit
+  rule the retire loop and ``access()`` run too) is evaluated for the whole
+  window at once against the tag mirror
   (:meth:`CoherenceProtocol.hot_mask`).  The window's *hit-run* — its
   maximal hot prefix — is advanced with O(1) Python work: clocks,
   compute/memory cycles, latency, per-type counters and LRU order are all
@@ -71,37 +72,21 @@ from typing import List
 
 import numpy as np
 
+from repro.core.protocol import STATE_CODE
 from repro.core.states import StableState
-from repro.hierarchy.cache import (
-    STATE_ABSENT,
-    STATE_EXCLUSIVE,
-    STATE_MODIFIED,
-    STATE_SHARED,
-    STATE_UPDATE,
-    TagArray,
-    UOP_NONE,
-)
+from repro.hierarchy.cache import STATE_ABSENT, STATE_UPDATE, TagArray
 from repro import obs as _obs
 from repro.sim.columnar import (
     CODE_KIND,
     CODE_OP,
     CODE_OP_INDEX,
+    NO_OP_INDEX,
     ColumnarTrace,
     KIND_LOAD,
     KIND_STORE,
     decode_values,
 )
 from repro.sim.stats import CoreStats
-
-#: StableState -> TagArray state code (None covers untracked lines).
-_STATE_CODE = {
-    None: STATE_ABSENT,
-    StableState.INVALID: STATE_ABSENT,
-    StableState.SHARED: STATE_SHARED,
-    StableState.EXCLUSIVE: STATE_EXCLUSIVE,
-    StableState.MODIFIED: STATE_MODIFIED,
-    StableState.UPDATE: STATE_UPDATE,
-}
 
 #: Upper bound on the classification window (accesses per window).
 BATCH_SIZE = 4096
@@ -295,7 +280,7 @@ class BatchedKernel:
         states = self._core_states[core_id]
         comm_local = self._comm_local
         protocol = self.protocol
-        state_code = _STATE_CODE
+        state_code = STATE_CODE
         # repro-lint: disable=D102(full resync visits each set exactly once; sets are independent so visit order cannot affect the rebuilt mirror)
         for set_index, cache_set in self._l1_caches[core_id]._sets.items():
             tag_row = tags.tags[set_index]
@@ -309,7 +294,7 @@ class BatchedKernel:
                 if code == STATE_UPDATE and comm_local:
                     uop_row[way] = protocol.batch_uop_code(core_id, line_addr)
                 else:
-                    uop_row[way] = UOP_NONE
+                    uop_row[way] = NO_OP_INDEX
                 way += 1
 
     # ---------------------------------------------------------- classification
@@ -344,7 +329,7 @@ class BatchedKernel:
         ways = match.argmax(axis=1)
         states = np.where(member, tags.state[sets, ways], STATE_ABSENT)
         uops = (
-            np.where(states == STATE_UPDATE, tags.uop[sets, ways], UOP_NONE)
+            np.where(states == STATE_UPDATE, tags.uop[sets, ways], NO_OP_INDEX)
             if self._comm_local
             else None
         )

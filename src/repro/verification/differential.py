@@ -11,9 +11,12 @@ evictions over a handful of addresses — drives both sides:
   is executed twice, once with the retire loop alone (``scalar``) and once
   with the batched kernel entered after every hit (``batch``), and the two
   :meth:`SimulationResult.to_jsonable` documents must be byte-identical.
-  Afterwards the engine's directory must pass its invariant checks, and
-  every update-only address must hold exactly the number of updates applied
-  to it.
+  The stream is also replayed through the public ``engine.access()`` API in
+  the retire loop's canonical order, which must leave the same result,
+  stable states, directory and private-cache counters as the ``scalar``
+  run.  Afterwards the engine's directory must pass its invariant checks,
+  and every update-only address must hold exactly the number of updates
+  applied to it.
 * **Model side**: the same stream drives one single-line
   :class:`CoherenceModel` instance per address with deterministic
   micro-stepping — drain internal transitions (message deliveries,
@@ -378,19 +381,90 @@ def stream_workload(config: StreamConfig, stream: Sequence[Transaction]) -> Any:
     )
 
 
+def _live_simulator(config: StreamConfig, stream: Sequence[Transaction]) -> Tuple[Any, Any]:
+    """The stream's live workload and a fresh simulator for it; (workload, simulator)."""
+    from repro.sim.config import small_test_config
+    from repro.sim.simulator import MulticoreSimulator, make_protocol
+
+    sim_config = small_test_config(config.n_cores)
+    engine = make_protocol(config.protocol, sim_config, track_values=True)
+    simulator = MulticoreSimulator(sim_config, engine, track_values=True)
+    return stream_workload(config, stream), simulator
+
+
+def _engine_state(engine: Any) -> Dict[str, Any]:
+    """An engine's coherence state and private-cache counters, comparably."""
+    return {
+        "core_states": [
+            sorted((line, state.value) for line, state in states.items())
+            for states in engine.core_states
+        ],
+        "directory": sorted(
+            (e.line_addr, e.mode.value, sorted(e.sharers), repr(e.op), e.busy_until)
+            for e in engine.directory.entries()
+        ),
+        "private_counters": [
+            (cache.name, cache.hits, cache.misses)
+            for cache in engine.hierarchy.l1 + engine.hierarchy.l2
+        ],
+    }
+
+
+def _replay_api(
+    config: StreamConfig, stream: Sequence[Transaction]
+) -> Tuple[Dict[str, Any], Any]:
+    """Replay the stream through ``engine.access()``; (result jsonable, engine).
+
+    Accesses issue in the retire loop's canonical ``(clock, core id)`` order
+    and are charged as it charges them: issue = clock + gap * CPI, then
+    clock = issue + overhead + the outcome's total latency.  The stream
+    workload has no phase barriers.
+    """
+    import heapq
+
+    from repro.sim.columnar import KIND_OF_TYPE, unpack_accesses
+    from repro.sim.stats import CoreStats
+
+    workload, simulator = _live_simulator(config, stream)
+    engine = simulator.protocol
+    core_model = simulator.core_model
+    cpi = core_model.cycles_per_instruction
+    commutative = core_model.commutative_overhead
+    overheads = (0.0, 0.0, core_model.atomic_overhead, commutative, commutative)
+    counters = ("loads", "stores", "atomics", "commutative_updates", "remote_updates")
+    traces = [unpack_accesses(column) for column in workload.columns]
+    stats = [CoreStats(core_id=core) for core in range(workload.n_cores)]
+    clocks = [0.0] * workload.n_cores
+    heap = [(0.0, core, 0) for core in range(workload.n_cores) if traces[core]]
+    while heap:
+        clock, core, cursor = heapq.heappop(heap)
+        access = traces[core][cursor]
+        kind = KIND_OF_TYPE[access.access_type]
+        core_stats = stats[core]
+        setattr(core_stats, counters[kind], getattr(core_stats, counters[kind]) + 1)
+        think = access.think_instructions * cpi
+        issue = clock + think
+        outcome = engine.access(core, access, issue)
+        total = outcome.total_latency
+        core_stats.latency.add(outcome.latency)
+        if outcome.private_hit:
+            core_stats.l1_hits += 1
+        core_stats.accesses += 1
+        core_stats.compute_cycles += think + overheads[kind]
+        core_stats.memory_cycles += total
+        clocks[core] = clock = issue + overheads[kind] + total
+        if cursor + 1 < len(traces[core]):
+            heapq.heappush(heap, (clock, core, cursor + 1))
+    return simulator._finish(workload, clocks, stats).to_jsonable(), engine
+
+
 def _run_live(
     config: StreamConfig, stream: Sequence[Transaction], kernel: str
 ) -> Tuple[Dict[str, Any], Any]:
     """One live run under a forced kernel; (result jsonable, engine)."""
     import os
 
-    from repro.sim.config import small_test_config
-    from repro.sim.simulator import MulticoreSimulator, make_protocol
-
-    workload = stream_workload(config, stream)
-    sim_config = small_test_config(config.n_cores)
-    engine = make_protocol(config.protocol, sim_config, track_values=True)
-    simulator = MulticoreSimulator(sim_config, engine, track_values=True)
+    workload, simulator = _live_simulator(config, stream)
     previous = os.environ.get("REPRO_SIM_KERNEL")
     os.environ["REPRO_SIM_KERNEL"] = kernel
     try:
@@ -400,7 +474,7 @@ def _run_live(
             del os.environ["REPRO_SIM_KERNEL"]
         else:
             os.environ["REPRO_SIM_KERNEL"] = previous
-    return result.to_jsonable(), engine
+    return result.to_jsonable(), simulator.protocol
 
 
 def check_live(
@@ -410,7 +484,7 @@ def check_live(
     from repro.verification.encode import canonical_dumps
 
     checks: List[str] = []
-    scalar, _scalar_engine = _run_live(config, stream, "scalar")
+    scalar, scalar_engine = _run_live(config, stream, "scalar")
     batch, engine = _run_live(config, stream, "batch")
     checks.append("kernel-equivalence")
     if canonical_dumps(scalar) != canonical_dumps(batch):
@@ -425,6 +499,25 @@ def check_live(
                 detail=(
                     "scalar and batched kernels disagree on "
                     f"field(s) {differing}"
+                ),
+            ),
+            checks,
+        )
+
+    checks.append("api-equivalence")
+    api, api_engine = _replay_api(config, stream)
+    expected = dict(scalar, **_engine_state(scalar_engine))
+    replayed = dict(api, **_engine_state(api_engine))
+    if canonical_dumps(expected) != canonical_dumps(replayed):
+        differing = sorted(
+            key for key in expected if expected[key] != replayed.get(key)
+        )
+        return (
+            DifferentialFailure(
+                reason="api-divergence",
+                detail=(
+                    "engine.access() replay and the scalar retire loop "
+                    f"disagree on field(s) {differing}"
                 ),
             ),
             checks,

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.commutative import CommutativeOp
+from repro.core.meusi import MeusiProtocol
+from repro.core.protocol import (
+    ACT_BUFFER,
+    ACT_HIT,
+    ACT_HIT_M,
+    ACT_PROBE,
+    ACT_SLOW,
+    STATE_CODE,
+    hit_table,
+)
 from repro.core.states import (
     LineMode,
     NonExclusiveType,
@@ -13,37 +24,75 @@ from repro.core.states import (
     decode_type_field,
     encode_type_field,
 )
+from repro.hierarchy.cache import STATE_UPDATE
+from repro.sim.columnar import (
+    KIND_ATOMIC,
+    KIND_COMMUTATIVE,
+    KIND_LOAD,
+    KIND_REMOTE,
+    KIND_STORE,
+    NO_OP_INDEX,
+)
+from repro.sim.config import small_test_config
+
+
+#: Every folding mode an engine may declare (``HOT_COMMUTATIVE``).
+FOLDINGS = ("atomic", "local", "never")
+
+
+def cell(folding, state, kind):
+    """The hit-table action for a line in ``state`` under ``folding``."""
+    return hit_table(folding)[STATE_CODE[state]][kind]
 
 
 class TestStableState:
+    # What each state may satisfy locally is the engines' hit table
+    # (repro.core.protocol.hit_table); these pin the paper's rules on it.
+
     def test_read_permissions(self):
-        assert StableState.SHARED.can_read
-        assert StableState.EXCLUSIVE.can_read
-        assert StableState.MODIFIED.can_read
-        assert not StableState.UPDATE.can_read
-        assert not StableState.INVALID.can_read
+        for folding in FOLDINGS:
+            for state in (StableState.SHARED, StableState.EXCLUSIVE, StableState.MODIFIED):
+                assert cell(folding, state, KIND_LOAD) == ACT_HIT
+            for state in (StableState.UPDATE, StableState.INVALID, None):
+                assert cell(folding, state, KIND_LOAD) == ACT_SLOW
 
     def test_write_permissions(self):
-        assert StableState.MODIFIED.can_write
-        assert StableState.EXCLUSIVE.can_write
-        assert not StableState.SHARED.can_write
-        assert not StableState.UPDATE.can_write
-        assert not StableState.INVALID.can_write
+        for folding in FOLDINGS:
+            for kind in (KIND_STORE, KIND_ATOMIC):
+                for state in (StableState.MODIFIED, StableState.EXCLUSIVE):
+                    assert cell(folding, state, kind) == ACT_HIT_M
+                assert cell(folding, StableState.SHARED, kind) == ACT_PROBE
+                for state in (StableState.UPDATE, StableState.INVALID):
+                    assert cell(folding, state, kind) == ACT_SLOW
 
     def test_update_permissions_in_owned_states(self):
-        for state in (StableState.MODIFIED, StableState.EXCLUSIVE):
-            assert state.can_update(CommutativeOp.ADD_I64, None)
-            assert state.can_update(CommutativeOp.OR_64, CommutativeOp.ADD_I64)
+        for folding in ("atomic", "local"):
+            for kind in (KIND_COMMUTATIVE, KIND_REMOTE):
+                for state in (StableState.MODIFIED, StableState.EXCLUSIVE):
+                    assert cell(folding, state, kind) == ACT_HIT_M
+        # RMO ships every update to the home bank, unprobed.
+        for state in StableState:
+            assert cell("never", state, KIND_COMMUTATIVE) == ACT_SLOW
 
     def test_update_permission_in_u_requires_matching_op(self):
-        state = StableState.UPDATE
-        assert state.can_update(CommutativeOp.ADD_I64, CommutativeOp.ADD_I64)
-        assert not state.can_update(CommutativeOp.ADD_I64, CommutativeOp.OR_64)
-        assert not state.can_update(None, CommutativeOp.ADD_I64)
+        assert cell("local", StableState.UPDATE, KIND_COMMUTATIVE) == ACT_BUFFER
+        engine = MeusiProtocol(small_test_config(2))
+        # uop: the line's op index (0) or NO_OP_INDEX when it may not buffer.
+        for uop, op_index, hot in ((0, 0, True), (0, 1, False), (NO_OP_INDEX, 0, False)):
+            mask = engine.hot_mask(
+                np.array([KIND_COMMUTATIVE], dtype=np.uint8),
+                np.array([True]),
+                np.array([STATE_UPDATE], dtype=np.uint8),
+                np.array([uop], dtype=np.uint8),
+                np.array([op_index], dtype=np.uint8),
+            )
+            assert mask.tolist() == [hot]
 
     def test_invalid_and_shared_cannot_update(self):
-        assert not StableState.INVALID.can_update(CommutativeOp.ADD_I64, None)
-        assert not StableState.SHARED.can_update(CommutativeOp.ADD_I64, None)
+        for folding in FOLDINGS:
+            for kind in (KIND_COMMUTATIVE, KIND_REMOTE):
+                assert cell(folding, StableState.INVALID, kind) == ACT_SLOW
+                assert cell(folding, StableState.SHARED, kind) in (ACT_SLOW, ACT_PROBE)
 
     def test_request_types(self):
         assert {r.value for r in RequestType} == {"R", "W", "C"}

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core import protocol
+from repro.core.protocol import ACT_BUFFER, ACT_HIT, ACT_HIT_M
+from repro.hierarchy.cache import STATE_ABSENT, STATE_SHARED, STATE_UPDATE
 from repro.lint.rules.protocol import (
     BatchContractRule,
     StateAlphabetRule,
     UnknownEnumMemberRule,
 )
+from repro.sim.columnar import KIND_ATOMIC, KIND_COMMUTATIVE, KIND_LOAD, KIND_STORE
 
 from lint_helpers import codes, lines_of, lint_sources  # noqa: F401 (fixture)
 
@@ -51,7 +57,27 @@ class TestP202BatchContract:
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert "P202" in codes(report)
 
-    def test_batch_kernel_without_hot_mask_fires(self, lint_sources):
+    @pytest.mark.parametrize(
+        "row,kind,action,problem",
+        [
+            (STATE_UPDATE, KIND_LOAD, ACT_HIT, "a load hits from an absent or U line"),
+            (STATE_ABSENT, KIND_LOAD, ACT_HIT, "a load hits from an absent or U line"),
+            (STATE_SHARED, KIND_STORE, ACT_HIT_M, "a store or atomic hits outside E/M"),
+            (STATE_UPDATE, KIND_ATOMIC, ACT_BUFFER, "a store or atomic hits outside E/M"),
+            (STATE_UPDATE, KIND_COMMUTATIVE, ACT_BUFFER, "ACT_BUFFER outside"),
+            (STATE_SHARED, KIND_LOAD, 7, "hold no legal action"),
+        ],
+        ids=["load-u", "load-absent", "store-s", "atomic-u", "buffer-atomic", "illegal"],
+    )
+    def test_broken_hit_table_fires(self, lint_sources, monkeypatch, row, kind, action, problem):
+        real = protocol.hit_table
+
+        def broken(folding):
+            table = [list(cells) for cells in real(folding)]
+            table[row][kind] = action
+            return tuple(tuple(cells) for cells in table)
+
+        monkeypatch.setattr(protocol, "hit_table", broken)
         source = (
             "class FancyProtocol:\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
@@ -59,14 +85,13 @@ class TestP202BatchContract:
             "        return (0, 0, 0)\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert codes(report) == ["P202"]
+        assert set(codes(report)) == {"P202"}
+        assert any(problem in v.message for v in report.violations)
 
     def test_engine_without_retire_loop_fires(self, lint_sources):
         source = (
             "class FancyProtocol:\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
-            "    def hot_mask(self, codes):\n"
-            "        return codes\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert codes(report) == ["P202"]
@@ -75,8 +100,6 @@ class TestP202BatchContract:
         source = (
             "class FancyProtocol:\n"
             "    HOT_COMMUTATIVE = 'local'\n"
-            "    def hot_mask(self, codes):\n"
-            "        return codes\n"
             "    def batch_uop_code(self):\n"
             "        return 0\n"
             "    def resolve_slow_batch(self):\n"
@@ -99,8 +122,6 @@ class TestP202BatchContract:
         source = (
             "class FancyProtocol:\n"
             "    HOT_COMMUTATIVE = 'never'\n"
-            "    def hot_mask(self, codes):\n"
-            "        return codes\n"
             "    def resolve_slow_batch(self):\n"
             "        return (0, 0, 0)\n"
         )

@@ -18,14 +18,9 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.hierarchy.cache import (
-    STATE_EXCLUSIVE,
-    STATE_MODIFIED,
-    TagArray,
-    UOP_NONE,
-)
+from repro.hierarchy.cache import STATE_EXCLUSIVE, STATE_MODIFIED, TagArray
 from repro.sim import table1_config
-from repro.sim.columnar import ColumnarTrace
+from repro.sim.columnar import NO_OP_INDEX, ColumnarTrace
 from repro.sim.config import small_test_config
 import repro.sim.kernel as kernel_module
 from repro.sim.kernel import BatchedKernel, kernel_mode
@@ -260,42 +255,17 @@ class TestTagArray:
     def _config(self):
         return small_test_config(2).l1d
 
-    def test_place_and_remove(self):
-        tags = TagArray(self._config())
-        assert tags.place(0x40, STATE_EXCLUSIVE, UOP_NONE)
-        assert tags.resident(0x40)
-        tags.update_line(0x40, STATE_MODIFIED, UOP_NONE)
-        assert tags.resident(0x40)
-        tags.update_line(0x40, 0, UOP_NONE)  # STATE_ABSENT removes
-        assert not tags.resident(0x40)
-
-    def test_place_with_victim_replaces_way(self):
+    def test_rebuild_sets_membership(self):
+        # The kernel rebuilds the mirror on every entry: clear, then fill.
         config = self._config()
         tags = TagArray(config)
         num_sets = config.num_sets
-        first = num_sets  # both map to set 0
-        second = 2 * num_sets
-        assert tags.place(first, STATE_EXCLUSIVE, UOP_NONE)
-        assert tags.place(second, STATE_MODIFIED, UOP_NONE, victim_addr=first)
-        assert not tags.resident(first)
-        assert tags.resident(second)
-
-    def test_place_fails_when_no_slot(self):
-        config = self._config()
-        tags = TagArray(config)
-        num_sets = config.num_sets
-        for way in range(config.ways):
-            assert tags.place((way + 1) * num_sets, STATE_EXCLUSIVE, UOP_NONE)
-        # Set 0 is full and the victim is not resident: must report failure.
-        missing_victim = (config.ways + 5) * num_sets
-        assert not tags.place(
-            (config.ways + 1) * num_sets,
-            STATE_EXCLUSIVE,
-            UOP_NONE,
-            victim_addr=missing_victim,
-        )
-
-    def test_update_absent_line_is_noop(self):
-        tags = TagArray(self._config())
-        tags.update_line(0x99, STATE_MODIFIED, UOP_NONE)  # must not raise
-        assert not tags.resident(0x99)
+        first, second = num_sets, 2 * num_sets  # both map to set 0
+        tags.fill_way(0, 0, first, STATE_EXCLUSIVE, NO_OP_INDEX)
+        tags.fill_way(0, 1, second, STATE_MODIFIED, NO_OP_INDEX)
+        assert sorted(tags.tags[0][:2].tolist()) == [first, second]
+        assert tags.state[0][:2].tolist() == [STATE_EXCLUSIVE, STATE_MODIFIED]
+        tags.clear()
+        assert not (tags.tags == first).any()
+        assert not tags.state.any()
+        assert (tags.uop == NO_OP_INDEX).all()

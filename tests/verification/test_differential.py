@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.mesi import MesiProtocol
 from repro.verification.differential import (
     StreamConfig,
     check_live,
@@ -54,9 +55,33 @@ class TestCleanRuns:
         assert failure is None
         assert checks == [
             "kernel-equivalence",
+            "api-equivalence",
             "directory-invariants",
             "value-correspondence",
         ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["MESI", "COUP", "RMO"])
+    def test_public_access_api_matches_the_retire_loop(self, protocol, seed):
+        config = StreamConfig(protocol=protocol, seed=seed)
+        failure, checks = check_live(config, generate_stream(config))
+        assert failure is None, failure
+        assert "api-equivalence" in checks
+
+    def test_api_divergence_is_caught(self, monkeypatch):
+        # One extra private probe per access.access() call: the replay's
+        # L1 counters and LRU drift from the retire loop's.
+        real = MesiProtocol.access
+
+        def probing_twice(self, core_id, access, now):
+            self._private_level(core_id, access.address >> self._line_shift)
+            return real(self, core_id, access, now)
+
+        monkeypatch.setattr(MesiProtocol, "access", probing_twice)
+        config = StreamConfig(protocol="COUP", seed=0)
+        failure, checks = check_live(config, generate_stream(config))
+        assert failure is not None and failure.reason == "api-divergence"
+        assert checks[-1] == "api-equivalence"
 
 
 class TestMutationCatch:
